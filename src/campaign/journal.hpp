@@ -36,24 +36,16 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "campaign/framed_log.hpp"
 #include "core/error.hpp"
 #include "core/stats.hpp"
 
 namespace nodebench::campaign {
-
-/// Thrown when a journal file is unusable (bad magic, unsupported
-/// schema version, corrupt header). Record-level corruption is *not* an
-/// error — it is recovered by torn-tail truncation.
-class JournalCorruptError : public Error {
- public:
-  using Error::Error;
-};
 
 /// Thrown when `--resume` finds a journal recorded under a different
 /// campaign configuration; what() names the mismatched parameter.
@@ -62,79 +54,32 @@ class JournalConfigMismatchError : public Error {
   using Error::Error;
 };
 
-/// Little-endian byte serializer for record payloads. Cells encode
-/// their result values through this so replay restores bit-exact
-/// doubles (byte-identical tables are the whole point).
-class PayloadWriter {
- public:
-  void putU32(std::uint32_t value);
-  void putU64(std::uint64_t value);
-  void putF64(double value);  ///< Exact bit pattern, not text.
-  void putString(std::string_view s);
-
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const {
-    return bytes_;
-  }
-
- private:
-  std::vector<std::uint8_t> bytes_;
-};
-
-/// Bounds-checked reader over a payload. Every accessor throws
-/// JournalCorruptError on overrun or oversized strings — payloads come
-/// from disk and are untrusted even after their CRC passed.
-class PayloadReader {
- public:
-  explicit PayloadReader(std::span<const std::uint8_t> bytes)
-      : bytes_(bytes) {}
-
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
-  [[nodiscard]] double f64();
-  [[nodiscard]] std::string string();
-  /// Raw byte run of exactly `len` bytes (an opaque nested blob).
-  [[nodiscard]] std::vector<std::uint8_t> blob(std::uint32_t len);
-  [[nodiscard]] bool atEnd() const { return pos_ == bytes_.size(); }
-
- private:
-  void need(std::size_t n) const;
-
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
-
 /// Summary round-trip helpers shared by every journalled cell.
 void putSummary(PayloadWriter& w, const Summary& s);
 [[nodiscard]] Summary readSummary(PayloadReader& r);
 
-/// The configuration fingerprint a journal header carries. Two campaign
-/// runs are resume-compatible iff every field except `jobs` matches —
-/// `jobs` is provenance only, because harness output is byte-identical
-/// at any worker count (DESIGN.md §7), so resuming at a different
-/// `--jobs` is safe and explicitly supported.
-struct CampaignConfig {
-  std::uint64_t registryHash = 0;   ///< campaign::registryHash()
-  std::uint64_t faultPlanHash = 0;  ///< campaign::faultPlanHash(); 0 = none
-  std::uint64_t seed = 0;           ///< Fault-plan seed; 0 without a plan.
-  std::uint32_t runs = 100;         ///< --runs (binary runs per cell).
-  std::uint32_t jobs = 0;           ///< --jobs at recording time (informational).
-  std::uint32_t cellRetries = 2;
-  std::uint64_t cpuArrayBytes = 0;
-  std::uint64_t gpuArrayBytes = 0;
-  std::uint64_t mpiMessageSize = 0;
-  /// Shard identity (`--shard i/N`); count == 0 = unsharded. Encoded as
-  /// an optional header extension only when sharded, so unsharded
-  /// journals stay byte-identical to the pre-shard format. Resuming a
-  /// shard journal under a different spec is refused like any other
-  /// fingerprint mismatch.
-  std::uint32_t shardIndex = 0;
-  std::uint32_t shardCount = 0;
+/// The NBCJ on-disk format (DESIGN.md §10, "Framed logs").
+inline constexpr FramedLogFormat kJournalFormat{
+    .magic = "NBCJ",
+    .version = 1,
+    .label = "journal",
+    .recordNoun = "record",
+    .maxFrameBytes = 1u << 20,
+    .maxFileBytes = 256ull << 20,
+    .tail = TailPolicy::Truncate,
+    .shardSpec = true,
+    .corrupt = &makeError<JournalCorruptError>,
 };
 
 /// "" when compatible, else a diagnostic naming the first mismatched
 /// parameter and both values (the `--resume` refusal message).
 [[nodiscard]] std::string describeConfigMismatch(const CampaignConfig& recorded,
                                                  const CampaignConfig& current);
+
+/// The index key of one grid cell: "machine \x1f cell". The unit
+/// separator cannot appear in valid UTF-8 names, so keys never collide.
+[[nodiscard]] std::string cellKey(std::string_view machine,
+                                  std::string_view cell);
 
 /// One journalled cell outcome. `payload` is the cell-specific value
 /// blob (empty for failed cells, which only carry their incident).
@@ -181,7 +126,6 @@ class Journal {
   [[nodiscard]] static std::vector<std::uint8_t> encodeRecord(
       const CellRecord& record);
 
-  ~Journal();
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
@@ -214,10 +158,9 @@ class Journal {
   static constexpr int kCrashExitCode = 42;
 
  private:
-  Journal() = default;
+  explicit Journal(FramedLogFile file) : file_(std::move(file)) {}
 
-  std::string path_;
-  int fd_ = -1;
+  FramedLogFile file_;
   CampaignConfig config_;
   std::map<std::string, CellRecord, std::less<>> records_;
   std::vector<std::string> warnings_;

@@ -1083,13 +1083,7 @@ int runMerge(const std::vector<std::string>& journalPaths,
 /// the supervisor's own degrade path does.
 std::vector<campaign::ShardGap> quarantineFromSupervisorJournal(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw Error("cannot read supervisor journal: " + path);
-  }
-  const std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  const auto decoded = supervise::SupervisorJournal::decode(bytes);
+  const auto decoded = supervise::SupervisorJournal::load(path);
   std::map<std::uint32_t, campaign::ShardGap> gaps;
   for (const supervise::SupervisorEvent& event : decoded.events) {
     if (event.kind == supervise::EventKind::ShardPoisoned) {

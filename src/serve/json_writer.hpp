@@ -14,7 +14,8 @@
 ///    quote and backslash so no payload can break the framing.
 ///
 /// This is a writer only — the daemon parses requests with the
-/// faults::JsonValue reader, keeping one parser in the tree.
+/// core/json_value.hpp reader (`nodebench::JsonValue`), keeping one
+/// parser in the tree.
 
 #include <cstdint>
 #include <string>

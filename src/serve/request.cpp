@@ -4,13 +4,11 @@
 #include <cmath>
 
 #include "core/error.hpp"
-#include "faults/json_value.hpp"
+#include "core/json_value.hpp"
 #include "machines/registry.hpp"
 #include "serve/json_writer.hpp"
 
 namespace nodebench::serve {
-
-using faults::JsonValue;
 
 namespace {
 

@@ -14,23 +14,12 @@ namespace nodebench::stats {
 
 namespace {
 
-std::string joinKey(const SampleRecord& r) {
-  std::string key;
-  key.reserve(r.machine.size() + r.cell.size() + r.quantity.size() + 2);
-  key.append(r.machine);
-  key.push_back('\x1f');
-  key.append(r.cell);
-  key.push_back('\x1f');
-  key.append(r.quantity);
-  return key;
-}
-
 using RecordIndex = std::map<std::string, const SampleRecord*, std::less<>>;
 
 RecordIndex indexRecords(const StoreContents& store) {
   RecordIndex index;
   for (const SampleRecord& r : store.records) {
-    index.emplace(joinKey(r), &r);  // first occurrence wins
+    index.emplace(sampleKey(r), &r);  // first occurrence wins
   }
   return index;
 }

@@ -7,21 +7,9 @@
 
 namespace nodebench::stats {
 
+using campaign::cellKey;
 using campaign::ShardMergeError;
 using campaign::shardSpecText;
-
-namespace {
-
-std::string gridKey(std::string_view machine, std::string_view cell) {
-  std::string key;
-  key.reserve(machine.size() + 1 + cell.size());
-  key.append(machine);
-  key.push_back('\x1f');
-  key.append(cell);
-  return key;
-}
-
-}  // namespace
 
 ShardStoreInput loadShardStoreInput(const std::string& path) {
   ShardStoreInput input;
@@ -113,7 +101,7 @@ std::vector<std::uint8_t> mergeShardStores(
   // set with no journalled cell record backing it.
   std::map<std::string, std::size_t, std::less<>> gridIndex;
   for (std::size_t g = 0; g < plan.grid.size(); ++g) {
-    gridIndex.emplace(gridKey(plan.grid[g].machine, plan.grid[g].cell), g);
+    gridIndex.emplace(cellKey(plan.grid[g].machine, plan.grid[g].cell), g);
   }
   std::set<std::size_t> missingCells(plan.missingCells.begin(),
                                      plan.missingCells.end());
@@ -133,7 +121,7 @@ std::vector<std::uint8_t> mergeShardStores(
     }
     const ShardStoreInput& s = *byIndex[i];
     for (const SampleRecord& record : s.contents.records) {
-      const auto git = gridIndex.find(gridKey(record.machine, record.cell));
+      const auto git = gridIndex.find(cellKey(record.machine, record.cell));
       if (git == gridIndex.end()) {
         throw ShardMergeError("cannot merge: store " + s.name +
                               " contains a record for (" + record.machine +
@@ -156,10 +144,7 @@ std::vector<std::uint8_t> mergeShardStores(
             shardSpecText({i, count}) + " (" + s.name +
             ") — overlapping shard stores cannot be merged");
       }
-      std::string key = gridKey(record.machine, record.cell);
-      key.push_back('\x1f');
-      key.append(record.quantity);
-      if (!seenKeys.insert(std::move(key)).second) {
+      if (!seenKeys.insert(sampleKey(record)).second) {
         throw ShardMergeError("cannot merge: store " + s.name +
                               " records (" + record.machine + ", " +
                               record.cell + ", " + record.quantity +

@@ -1,61 +1,34 @@
 #include "stats/store.hpp"
 
-#include <fcntl.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <utility>
 
-#include "campaign/io.hpp"
-#include "campaign/shard.hpp"
-#include "core/checksum.hpp"
 #include "core/utf8.hpp"
 
 namespace nodebench::stats {
 
 namespace {
 
-namespace io = campaign::io;
+using campaign::PayloadReader;
 
-constexpr char kMagic[4] = {'N', 'B', 'R', 'S'};
-constexpr std::uint32_t kSchemaVersion = 1;
-constexpr const char* kWhat = "store";  ///< io:: error-text label.
-
-/// Defensive decode limits. A record carries a full sample vector (8
-/// bytes per repetition), so the per-record cap is far above the
-/// journal's: 64 MiB covers ~8.4M samples, three orders of magnitude
-/// beyond the paper's 100-run methodology. Anything larger is treated
-/// as corruption, not an allocation request.
-constexpr std::uint32_t kMaxRecordBytes = 64u << 20;
+/// A record carries a full sample vector (8 bytes per repetition), so
+/// the frame cap is far above the journal's: 64 MiB covers ~8.4M
+/// samples, three orders of magnitude beyond the paper's 100-run
+/// methodology. Anything larger is treated as corruption, not an
+/// allocation request.
+constexpr campaign::FramedLogFormat kStoreFormat{
+    .magic = "NBRS",
+    .version = 1,
+    .label = "store",
+    .recordNoun = "record",
+    .maxFrameBytes = 64u << 20,
+    .maxFileBytes = 512ull << 20,
+    .tail = campaign::TailPolicy::Refuse,
+    .shardSpec = true,
+    .corrupt = &campaign::makeError<StoreCorruptError>,
+};
 constexpr std::uint32_t kMaxSampleCount = 1u << 22;
-constexpr std::uintmax_t kMaxStoreBytes = 512ull << 20;
-
-std::string errnoText() { return std::strerror(errno); }
-
-std::vector<std::uint8_t> readFileCapped(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) {
-    throw Error("cannot open store file: " + path);
-  }
-  const std::streamoff size = in.tellg();
-  if (size < 0) {
-    throw Error("cannot stat store file: " + path);
-  }
-  if (static_cast<std::uintmax_t>(size) > kMaxStoreBytes) {
-    throw StoreCorruptError("store file " + path + " is implausibly large (" +
-                            std::to_string(size) + " bytes)");
-  }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  in.seekg(0);
-  if (size > 0 && !in.read(reinterpret_cast<char*>(bytes.data()), size)) {
-    throw Error("failed reading store file: " + path);
-  }
-  return bytes;
-}
 
 std::string utf8Checked(std::string value, const char* what) {
   if (!validUtf8(value)) {
@@ -66,155 +39,59 @@ std::string utf8Checked(std::string value, const char* what) {
   return value;
 }
 
-std::string recordKey(std::string_view machine, std::string_view cell,
-                      std::string_view quantity) {
-  std::string key;
-  key.reserve(machine.size() + cell.size() + quantity.size() + 2);
-  key.append(machine);
-  key.push_back('\x1f');  // unit separator: cannot appear in valid UTF-8 names
-  key.append(cell);
-  key.push_back('\x1f');
-  key.append(quantity);
-  return key;
-}
-
-std::string cellKey(std::string_view machine, std::string_view cell) {
-  std::string key;
-  key.reserve(machine.size() + 1 + cell.size());
-  key.append(machine);
-  key.push_back('\x1f');
-  key.append(cell);
-  return key;
-}
-
-/// One length-prefixed CRC-framed chunk: [u32 len][u32 crc][payload].
-std::vector<std::uint8_t> frame(std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(8 + payload.size());
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t crc = crc32(payload);
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((len >> (8 * i)) & 0xffu));
+SampleRecord readSampleRecord(PayloadReader& r) {
+  SampleRecord record;
+  record.machine = utf8Checked(r.string(), "machine");
+  record.cell = utf8Checked(r.string(), "cell");
+  record.quantity = utf8Checked(r.string(), "quantity");
+  record.unit = utf8Checked(r.string(), "unit");
+  const std::uint32_t better = r.u32();
+  if (better > 1) {
+    throw StoreCorruptError("store record 'better' flag out of range");
   }
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((crc >> (8 * i)) & 0xffu));
+  record.better = static_cast<Better>(better);
+  record.summary = campaign::readSummary(r);
+  const std::uint32_t nSamples = r.u32();
+  if (nSamples > kMaxSampleCount) {
+    throw StoreCorruptError("store record sample count " +
+                            std::to_string(nSamples) + " exceeds the " +
+                            std::to_string(kMaxSampleCount) + " limit");
   }
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
-}
-
-std::uint32_t readU32At(std::span<const std::uint8_t> bytes, std::size_t pos) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(bytes[pos + static_cast<std::size_t>(i)])
-         << (8 * i);
+  if (nSamples != record.summary.count) {
+    throw StoreCorruptError(
+        "store record sample count " + std::to_string(nSamples) +
+        " disagrees with its summary count " +
+        std::to_string(record.summary.count));
   }
-  return v;
-}
-
-std::string hex(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
+  record.samples.reserve(nSamples);
+  for (std::uint32_t i = 0; i < nSamples; ++i) {
+    record.samples.push_back(r.f64());
+  }
+  if (!r.atEnd()) {
+    throw StoreCorruptError("store record carries trailing bytes");
+  }
+  return record;
 }
 
 }  // namespace
 
-// --- configuration compatibility --------------------------------------------
+std::string sampleKey(const SampleRecord& record) {
+  std::string key = campaign::cellKey(record.machine, record.cell);
+  key.push_back('\x1f');
+  key.append(record.quantity);
+  return key;
+}
 
 std::string describeStoreMismatch(const campaign::CampaignConfig& recorded,
                                   const campaign::CampaignConfig& current) {
-  const auto diff = [](const std::string& param, const std::string& was,
-                       const std::string& now) {
-    return "store configuration mismatch: " + param + " was " + was +
-           " when the store was recorded but is " + now +
-           " in this run; samples measured under different configurations "
-           "are not comparable — rerun with the original parameters or "
-           "write a fresh store";
-  };
-  if (recorded.registryHash != current.registryHash) {
-    return diff("the machine registry", hex(recorded.registryHash),
-                hex(current.registryHash));
-  }
-  if (recorded.faultPlanHash != current.faultPlanHash) {
-    return diff("the fault plan (--faults)", hex(recorded.faultPlanHash),
-                hex(current.faultPlanHash));
-  }
-  if (recorded.seed != current.seed) {
-    return diff("the fault-plan seed", std::to_string(recorded.seed),
-                std::to_string(current.seed));
-  }
-  if (recorded.runs != current.runs) {
-    return diff("--runs", std::to_string(recorded.runs),
-                std::to_string(current.runs));
-  }
-  if (recorded.cellRetries != current.cellRetries) {
-    return diff("the cell retry budget", std::to_string(recorded.cellRetries),
-                std::to_string(current.cellRetries));
-  }
-  if (recorded.cpuArrayBytes != current.cpuArrayBytes) {
-    return diff("the CPU array size (bytes)",
-                std::to_string(recorded.cpuArrayBytes),
-                std::to_string(current.cpuArrayBytes));
-  }
-  if (recorded.gpuArrayBytes != current.gpuArrayBytes) {
-    return diff("the GPU array size (bytes)",
-                std::to_string(recorded.gpuArrayBytes),
-                std::to_string(current.gpuArrayBytes));
-  }
-  if (recorded.mpiMessageSize != current.mpiMessageSize) {
-    return diff("the MPI message size (bytes)",
-                std::to_string(recorded.mpiMessageSize),
-                std::to_string(current.mpiMessageSize));
-  }
-  const auto shardText = [](const campaign::CampaignConfig& c) {
-    if (c.shardCount == 0) {
-      return std::string("unsharded");
-    }
-    return std::to_string(c.shardIndex) + "/" + std::to_string(c.shardCount);
-  };
-  if (recorded.shardIndex != current.shardIndex ||
-      recorded.shardCount != current.shardCount) {
-    return diff("the shard spec (--shard)", shardText(recorded),
-                shardText(current));
-  }
-  // `jobs` is deliberately not compared — harness output is byte-identical
-  // at any worker count (DESIGN.md §7), so appending at a different --jobs
-  // is safe.
-  return {};
+  return campaign::describeConfigMismatch(kStoreFormat, recorded, current);
 }
 
 // --- encode / decode ---------------------------------------------------------
 
 std::vector<std::uint8_t> ResultStore::encodeHeader(
     const campaign::CampaignConfig& config) {
-  campaign::PayloadWriter w;
-  w.putU64(config.registryHash);
-  w.putU64(config.faultPlanHash);
-  w.putU64(config.seed);
-  w.putU32(config.runs);
-  w.putU32(config.jobs);
-  w.putU32(config.cellRetries);
-  w.putU64(config.cpuArrayBytes);
-  w.putU64(config.gpuArrayBytes);
-  w.putU64(config.mpiMessageSize);
-  if (config.shardCount != 0) {
-    // Optional shard extension, mirroring the journal header: written
-    // only when sharded, so unsharded (and merged) stores stay
-    // byte-identical to the pre-shard format.
-    w.putU32(config.shardIndex);
-    w.putU32(config.shardCount);
-  }
-
-  std::vector<std::uint8_t> out(kMagic, kMagic + 4);
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(
-        static_cast<std::uint8_t>((kSchemaVersion >> (8 * i)) & 0xffu));
-  }
-  const auto framed = frame(w.bytes());
-  out.insert(out.end(), framed.begin(), framed.end());
-  return out;
+  return campaign::encodeLogHeader(kStoreFormat, config);
 }
 
 std::vector<std::uint8_t> ResultStore::encodeRecord(
@@ -232,117 +109,16 @@ std::vector<std::uint8_t> ResultStore::encodeRecord(
   for (const double x : record.samples) {
     w.putF64(x);
   }
-  return frame(w.bytes());
+  return campaign::encodeFrame(w.bytes());
 }
 
 StoreContents ResultStore::decode(std::span<const std::uint8_t> bytes) {
   StoreContents out;
-  if (bytes.size() < 8 || std::memcmp(bytes.data(), kMagic, 4) != 0) {
-    throw StoreCorruptError("not a nodebench results store (bad magic bytes)");
-  }
-  const std::uint32_t version = readU32At(bytes, 4);
-  if (version != kSchemaVersion) {
-    throw StoreCorruptError("unsupported store schema version " +
-                            std::to_string(version) + " (this build reads " +
-                            std::to_string(kSchemaVersion) + ")");
-  }
-  std::size_t pos = 8;
-
-  // Unlike the journal, every frame here is mandatory-valid: a store is a
-  // finished results artifact, and comparing against a silently truncated
-  // baseline would be worse than refusing.
-  const auto readFrame = [&](const char* what) {
-    if (bytes.size() - pos < 8) {
-      throw StoreCorruptError(std::string("store ") + what + " truncated");
-    }
-    const std::uint32_t len = readU32At(bytes, pos);
-    const std::uint32_t crc = readU32At(bytes, pos + 4);
-    if (len > kMaxRecordBytes) {
-      throw StoreCorruptError(std::string("store ") + what + " length " +
-                              std::to_string(len) + " exceeds the " +
-                              std::to_string(kMaxRecordBytes) + "-byte limit");
-    }
-    if (bytes.size() - pos - 8 < len) {
-      throw StoreCorruptError(std::string("store ") + what +
-                              " extends past end of file");
-    }
-    const auto payload = bytes.subspan(pos + 8, len);
-    if (crc32(payload) != crc) {
-      throw StoreCorruptError(std::string("store ") + what +
-                              " checksum mismatch");
-    }
-    pos += 8 + len;
-    return payload;
+  const auto readRecord = [&](PayloadReader& r) {
+    out.records.push_back(readSampleRecord(r));
   };
-
-  try {
-    {
-      campaign::PayloadReader r(readFrame("header"));
-      out.config.registryHash = r.u64();
-      out.config.faultPlanHash = r.u64();
-      out.config.seed = r.u64();
-      out.config.runs = r.u32();
-      out.config.jobs = r.u32();
-      out.config.cellRetries = r.u32();
-      out.config.cpuArrayBytes = r.u64();
-      out.config.gpuArrayBytes = r.u64();
-      out.config.mpiMessageSize = r.u64();
-      if (!r.atEnd()) {
-        // Shard extension (present only on --shard stores).
-        out.config.shardIndex = r.u32();
-        out.config.shardCount = r.u32();
-        if (out.config.shardCount == 0 ||
-            out.config.shardCount > campaign::kMaxShardCount ||
-            out.config.shardIndex >= out.config.shardCount) {
-          throw StoreCorruptError(
-              "store header carries an invalid shard spec " +
-              std::to_string(out.config.shardIndex) + "/" +
-              std::to_string(out.config.shardCount));
-        }
-      }
-      if (!r.atEnd()) {
-        throw StoreCorruptError("store header carries unexpected bytes");
-      }
-    }
-    while (pos < bytes.size()) {
-      campaign::PayloadReader r(readFrame("record"));
-      SampleRecord record;
-      record.machine = utf8Checked(r.string(), "machine");
-      record.cell = utf8Checked(r.string(), "cell");
-      record.quantity = utf8Checked(r.string(), "quantity");
-      record.unit = utf8Checked(r.string(), "unit");
-      const std::uint32_t better = r.u32();
-      if (better > 1) {
-        throw StoreCorruptError("store record 'better' flag out of range");
-      }
-      record.better = static_cast<Better>(better);
-      record.summary = campaign::readSummary(r);
-      const std::uint32_t nSamples = r.u32();
-      if (nSamples > kMaxSampleCount) {
-        throw StoreCorruptError("store record sample count " +
-                                std::to_string(nSamples) + " exceeds the " +
-                                std::to_string(kMaxSampleCount) + " limit");
-      }
-      if (nSamples != record.summary.count) {
-        throw StoreCorruptError(
-            "store record sample count " + std::to_string(nSamples) +
-            " disagrees with its summary count " +
-            std::to_string(record.summary.count));
-      }
-      record.samples.reserve(nSamples);
-      for (std::uint32_t i = 0; i < nSamples; ++i) {
-        record.samples.push_back(r.f64());
-      }
-      if (!r.atEnd()) {
-        throw StoreCorruptError("store record carries trailing bytes");
-      }
-      out.records.push_back(std::move(record));
-    }
-  } catch (const campaign::JournalCorruptError& e) {
-    // PayloadReader reports overruns in journal vocabulary; rethrow in
-    // store vocabulary so callers see a single corruption type.
-    throw StoreCorruptError(std::string("store payload corrupt: ") + e.what());
-  }
+  out.config =
+      campaign::decodeFramedLog(kStoreFormat, bytes, readRecord).config;
   return out;
 }
 
@@ -350,21 +126,9 @@ StoreContents ResultStore::decode(std::span<const std::uint8_t> bytes) {
 
 std::unique_ptr<ResultStore> ResultStore::create(
     const std::string& path, const campaign::CampaignConfig& config) {
-  struct stat st {};
-  if (::stat(path.c_str(), &st) == 0) {
-    throw Error("store file already exists: " + path +
-                " (pass --resume to continue the recorded campaign, or "
-                "remove the file to start fresh)");
-  }
-  io::atomicWrite(path, encodeHeader(config), kWhat);
-  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
-  if (fd < 0) {
-    throw Error("cannot reopen store for appending: " + path + ": " +
-                errnoText());
-  }
-  auto store = std::unique_ptr<ResultStore>(new ResultStore());
-  store->path_ = path;
-  store->fd_ = fd;
+  auto store = std::unique_ptr<ResultStore>(new ResultStore(
+      campaign::FramedLogFile::create(kStoreFormat, path,
+                                      encodeHeader(config))));
   store->config_ = config;
   return store;
 }
@@ -381,55 +145,43 @@ std::unique_ptr<ResultStore> ResultStore::attach(
     // before the header landed): start the store fresh.
     return create(path, current);
   }
-  const std::vector<std::uint8_t> bytes = readFileCapped(path);
+  const std::vector<std::uint8_t> bytes =
+      campaign::readLogFile(kStoreFormat, path);
   StoreContents contents = decode(bytes);
   const std::string mismatch = describeStoreMismatch(contents.config, current);
   if (!mismatch.empty()) {
     throw StoreConfigMismatchError("cannot resume " + path + ": " + mismatch);
   }
-  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
-  if (fd < 0) {
-    throw Error("cannot reopen store for appending: " + path + ": " +
-                errnoText());
-  }
-  auto store = std::unique_ptr<ResultStore>(new ResultStore());
-  store->path_ = path;
-  store->fd_ = fd;
+  auto store = std::unique_ptr<ResultStore>(
+      new ResultStore(campaign::FramedLogFile::reopen(kStoreFormat, path,
+                                                      bytes, bytes.size())));
   store->config_ = contents.config;
   for (const SampleRecord& record : contents.records) {
-    store->recordKeys_.insert(
-        recordKey(record.machine, record.cell, record.quantity));
-    store->cellKeys_.insert(cellKey(record.machine, record.cell));
+    store->recordKeys_.insert(sampleKey(record));
+    store->cellKeys_.insert(campaign::cellKey(record.machine, record.cell));
   }
   return store;
 }
 
 StoreContents ResultStore::load(const std::string& path) {
-  return decode(readFileCapped(path));
-}
-
-ResultStore::~ResultStore() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-  }
+  return decode(campaign::readLogFile(kStoreFormat, path));
 }
 
 void ResultStore::append(SampleRecord record) {
   const std::lock_guard<std::mutex> lock(mu_);
-  std::string key = recordKey(record.machine, record.cell, record.quantity);
+  std::string key = sampleKey(record);
   if (recordKeys_.find(key) != recordKeys_.end()) {
     return;  // idempotent: `table all` recomputes Tables 5/6 for Table 7
   }
-  const std::vector<std::uint8_t> framed = encodeRecord(record);
-  io::appendDurable(fd_, framed, path_, kWhat);
-  cellKeys_.insert(cellKey(record.machine, record.cell));
+  file_.append(encodeRecord(record));
+  cellKeys_.insert(campaign::cellKey(record.machine, record.cell));
   recordKeys_.insert(std::move(key));
 }
 
 bool ResultStore::containsCell(std::string_view machine,
                                std::string_view cell) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return cellKeys_.find(cellKey(machine, cell)) != cellKeys_.end();
+  return cellKeys_.find(campaign::cellKey(machine, cell)) != cellKeys_.end();
 }
 
 std::size_t ResultStore::recordCount() const {

@@ -16,14 +16,14 @@
 ///     (lower- or higher-is-better), the Summary, and every raw sample
 ///     as an exact IEEE-754 bit pattern.
 ///
-/// Framing and payload serialization reuse the campaign layer
-/// (core/checksum CRC32, campaign::PayloadWriter/Reader), but the decode
-/// policy is deliberately stricter than the journal's: a journal
-/// tolerates a torn tail because a crash mid-campaign is its normal
-/// operating condition, while a results store is a finished artifact —
-/// any invalid frame means the file cannot be trusted as a baseline and
-/// decoding throws StoreCorruptError instead of silently comparing
-/// against a partial run. The decoder is a fuzz target (tests/fuzz/).
+/// Framing and payload serialization are the campaign layer's framed-log
+/// codec (campaign/framed_log.hpp), but the tail policy is deliberately
+/// stricter than the journal's: a journal tolerates a torn tail because
+/// a crash mid-campaign is its normal operating condition, while a
+/// results store is a finished artifact — any invalid frame means the
+/// file cannot be trusted as a baseline and decoding throws
+/// StoreCorruptError instead of silently comparing against a partial
+/// run. The decoder is a fuzz target (tests/fuzz/).
 ///
 /// Appends are idempotent per (machine, cell, quantity) and thread-safe:
 /// the parallel table harness writes records from worker threads, so
@@ -79,6 +79,10 @@ struct SampleRecord {
   std::vector<double> samples;
 };
 
+/// The index key of one stored quantity: campaign::cellKey() plus
+/// "\x1f quantity" — unique per (machine, cell, quantity).
+[[nodiscard]] std::string sampleKey(const SampleRecord& record);
+
 /// A fully decoded store: the recorded configuration plus every record
 /// in file order.
 struct StoreContents {
@@ -123,7 +127,6 @@ class ResultStore {
   [[nodiscard]] static std::vector<std::uint8_t> encodeRecord(
       const SampleRecord& record);
 
-  ~ResultStore();
   ResultStore(const ResultStore&) = delete;
   ResultStore& operator=(const ResultStore&) = delete;
 
@@ -142,10 +145,10 @@ class ResultStore {
   [[nodiscard]] std::size_t recordCount() const;
 
  private:
-  ResultStore() = default;
+  explicit ResultStore(campaign::FramedLogFile file)
+      : file_(std::move(file)) {}
 
-  std::string path_;
-  int fd_ = -1;
+  campaign::FramedLogFile file_;
   campaign::CampaignConfig config_;
   std::set<std::string, std::less<>> recordKeys_;
   std::set<std::string, std::less<>> cellKeys_;

@@ -5,13 +5,14 @@
 /// The supervisor must survive its own SIGKILL: which shard is leased to
 /// which pid, how many attempts each shard has burned, and which shards
 /// are done or poisoned all have to be reconstructable on `--resume`.
-/// This journal records that state as an append-only event log using the
-/// exact on-disk discipline of the campaign journal (`src/campaign`):
-/// magic + schema version, a CRC32-framed fsynced header carrying the
-/// campaign fingerprint plus the supervise parameters, then one
-/// CRC32-framed fsynced event per lease transition. A kill mid-append
-/// leaves a torn tail the resume path truncates with a warning; resuming
-/// under different parameters is refused naming the parameter.
+/// This journal records that state as an append-only event log through
+/// the framed-log codec the campaign journal uses
+/// (campaign/framed_log.hpp): magic + schema version, a CRC32-framed
+/// fsynced header carrying the campaign fingerprint plus the supervise
+/// parameters, then one CRC32-framed fsynced event per lease transition.
+/// A kill mid-append leaves a torn tail the resume path truncates with a
+/// warning; resuming under different parameters is refused naming the
+/// parameter.
 ///
 /// Event semantics on replay (see LeaseScheduler::replay):
 ///  - AttemptStarted without a matching terminal event = the supervisor
@@ -99,12 +100,19 @@ class SupervisorJournal {
   /// Pure in-memory decode (tests exercise torn tails through this).
   [[nodiscard]] static Decoded decode(std::span<const std::uint8_t> bytes);
 
+  /// Reads a journal file with the format's size cap and decodes it —
+  /// the read-only counterpart of resume() (`merge
+  /// --supervisor-journal`). Throws SupervisorJournalError for an
+  /// oversized or corrupt file.
+  [[nodiscard]] static Decoded load(const std::string& path);
+
+  /// Precondition: `config.campaign` is unsharded (the header has no
+  /// shard-spec extension; the supervisor shards the campaign itself).
   [[nodiscard]] static std::vector<std::uint8_t> encodeHeader(
       const SupervisorConfig& config);
   [[nodiscard]] static std::vector<std::uint8_t> encodeEvent(
       const SupervisorEvent& event);
 
-  ~SupervisorJournal();
   SupervisorJournal(const SupervisorJournal&) = delete;
   SupervisorJournal& operator=(const SupervisorJournal&) = delete;
 
@@ -120,10 +128,10 @@ class SupervisorJournal {
   }
 
  private:
-  SupervisorJournal() = default;
+  explicit SupervisorJournal(campaign::FramedLogFile file)
+      : file_(std::move(file)) {}
 
-  std::string path_;
-  int fd_ = -1;
+  campaign::FramedLogFile file_;
   SupervisorConfig config_;
   std::vector<SupervisorEvent> events_;
   std::vector<std::string> warnings_;

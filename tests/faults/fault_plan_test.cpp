@@ -7,7 +7,7 @@
 #include <string>
 
 #include "core/error.hpp"
-#include "faults/json_value.hpp"
+#include "core/json_value.hpp"
 #include "machines/registry.hpp"
 #include "netsim/network.hpp"
 #include "topo/topology.hpp"

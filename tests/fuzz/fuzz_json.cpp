@@ -13,8 +13,8 @@
 #include <string>
 
 #include "core/error.hpp"
+#include "core/json_value.hpp"
 #include "faults/fault_plan.hpp"
-#include "faults/json_value.hpp"
 
 namespace nodebench::fuzz {
 
@@ -22,7 +22,7 @@ int runJsonOneInput(const std::uint8_t* data, std::size_t size) {
   const std::string text(reinterpret_cast<const char*>(data), size);
   // Layer 1: the raw JSON reader.
   try {
-    (void)faults::JsonValue::parse(text);
+    (void)JsonValue::parse(text);
   } catch (const Error&) {
     // Structured rejection is the expected outcome for most inputs.
   }

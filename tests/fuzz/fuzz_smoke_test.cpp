@@ -264,6 +264,11 @@ TEST(FuzzSmoke, StoreCorpusAndTenThousandMutations) {
   drive(&runStoreOneInput, seeds, 0x6e62727335f67a31ull, 10'000);
 }
 
+TEST(FuzzSmoke, SupervisorJournalCorpusAndTenThousandMutations) {
+  drive(&runSupervisorJournalOneInput, readCorpus("supervisor"),
+        0x6e6273765f667a31ull, 10'000);
+}
+
 TEST(FuzzSmoke, MergeCorpusAndTenThousandMutations) {
   std::vector<Bytes> seeds = readCorpus("merge");
   seeds.push_back(validMergeSeed());
@@ -287,14 +292,20 @@ TEST(FuzzSmoke, MachineJsonCorpusAndTenThousandMutations) {
 
 /// Cross-pollination: each format's bytes into the other decoders.
 /// Cheap, and catches "assumed the other format's framing" bugs —
-/// journal and store share their CRC framing but not their magic or
-/// payload schema, so each must cleanly reject the other.
+/// journal, store and supervisor journal share their CRC framing but not
+/// their magic or payload schema, so each must cleanly reject the others.
 TEST(FuzzSmoke, CrossFormatInputsAreRejectedGracefully) {
   const Bytes journal = validJournalSeed();
   const Bytes store = validStoreSeed();
   EXPECT_EQ(runJsonOneInput(journal.data(), journal.size()), 0);
   EXPECT_EQ(runStoreOneInput(journal.data(), journal.size()), 0);
   EXPECT_EQ(runJournalOneInput(store.data(), store.size()), 0);
+  for (const Bytes& supervisor : readCorpus("supervisor")) {
+    EXPECT_EQ(runJournalOneInput(supervisor.data(), supervisor.size()), 0);
+    EXPECT_EQ(runStoreOneInput(supervisor.data(), supervisor.size()), 0);
+  }
+  EXPECT_EQ(runSupervisorJournalOneInput(journal.data(), journal.size()), 0);
+  EXPECT_EQ(runSupervisorJournalOneInput(store.data(), store.size()), 0);
   EXPECT_EQ(runJsonOneInput(store.data(), store.size()), 0);
   EXPECT_EQ(runServeOneInput(journal.data(), journal.size()), 0);
   EXPECT_EQ(runServeOneInput(store.data(), store.size()), 0);

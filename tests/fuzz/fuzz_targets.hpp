@@ -24,6 +24,11 @@ int runJournalOneInput(const std::uint8_t* data, std::size_t size);
 /// Feeds `data` to the results-store decoder (stats::ResultStore::decode).
 int runStoreOneInput(const std::uint8_t* data, std::size_t size);
 
+/// Feeds `data` to the supervisor-journal decoder
+/// (supervise::SupervisorJournal::decode) and, for accepted inputs,
+/// checks the decoded valid prefix re-encodes to its own bytes.
+int runSupervisorJournalOneInput(const std::uint8_t* data, std::size_t size);
+
 /// Feeds `data` to the shard-merge validator (mergeShardJournals): the
 /// input is a length-prefixed container of up to eight shard journal
 /// images, so the fuzzer explores cross-shard validation (fingerprint

@@ -248,5 +248,30 @@ TEST(SupervisorJournal, DecodeDropsInvalidEventsAsTornTail) {
   expectTornAfterOne(half, "incomplete event frame");
 }
 
+TEST(SupervisorJournal, EncodeHeaderRefusesAShardedCampaign) {
+  // The header has no shard-spec extension: a sharded campaign config
+  // would silently decode back as unsharded.
+  auto cfg = demoConfig();
+  cfg.campaign.shardIndex = 1;
+  cfg.campaign.shardCount = 3;
+  EXPECT_THROW((void)SupervisorJournal::encodeHeader(cfg), PreconditionError);
+}
+
+TEST(SupervisorJournal, LoadRefusesAnImplausiblyLargeFile) {
+  ScratchDir dir("nb-supervisor-journal-large");
+  const std::string path = dir.path("sv.journal");
+  { (void)SupervisorJournal::create(path, demoConfig()); }
+  // Sparse: one byte over the 64 MiB cap without writing 64 MiB.
+  std::filesystem::resize_file(path, (64ull << 20) + 1);
+  try {
+    (void)SupervisorJournal::load(path);
+    FAIL() << "an oversized supervisor journal must be refused";
+  } catch (const SupervisorJournalError& e) {
+    EXPECT_NE(std::string(e.what()).find("implausibly large"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace nodebench::supervise

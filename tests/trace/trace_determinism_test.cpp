@@ -10,7 +10,7 @@
 
 #include <string>
 
-#include "faults/json_value.hpp"
+#include "core/json_value.hpp"
 #include "report/tables.hpp"
 #include "trace/sink.hpp"
 #include "trace/trace.hpp"
@@ -51,7 +51,7 @@ TEST(TraceDeterminism, ConsecutiveRunsAreIdentical) {
 
 TEST(TraceDeterminism, ExportedJsonIsValid) {
   const Export e = tracedTable4(4);
-  const auto parsed = faults::JsonValue::parse(e.json);  // throws if invalid
+  const auto parsed = JsonValue::parse(e.json);  // throws if invalid
   const auto* events = parsed.find("traceEvents");
   ASSERT_NE(events, nullptr);
   EXPECT_FALSE(events->asArray().empty());
