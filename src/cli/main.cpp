@@ -409,6 +409,22 @@ TraceRequest traceRequest(std::vector<std::string>& args) {
   return req;
 }
 
+/// Writes the session's Chrome trace JSON to `path`. The stream is closed
+/// before it is checked: a trace smaller than the stream buffer reaches
+/// the file only at that final flush, whose failure (ENOSPC) a check
+/// before close would miss.
+void writeTraceFile(const std::string& path, const trace::Session& session) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) {
+    throw Error("cannot open trace output file: " + path);
+  }
+  out << trace::chromeJson(session);
+  out.close();
+  if (!out) {
+    throw Error("failed writing trace output file: " + path);
+  }
+}
+
 /// Exports the session once every recording scope has closed: writes the
 /// Chrome trace file (if requested) and prints the metrics appendix (if
 /// requested). No-op without a session.
@@ -417,14 +433,7 @@ void finishTrace(const TraceRequest& req) {
     return;
   }
   if (!req.outPath.empty()) {
-    std::ofstream out(req.outPath, std::ios::binary);
-    if (!out) {
-      throw Error("cannot open trace output file: " + req.outPath);
-    }
-    out << trace::chromeJson(*req.session);
-    if (!out) {
-      throw Error("failed writing trace output file: " + req.outPath);
-    }
+    writeTraceFile(req.outPath, *req.session);
     std::cout << "wrote " << req.outPath << "\n";
   }
   if (req.metrics) {
@@ -963,14 +972,7 @@ int cmdTrace(std::vector<std::string> args) {
         static_cast<unsigned long long>(inter.retransmits));
   }
 
-  std::ofstream out(outPath, std::ios::binary);
-  if (!out) {
-    throw Error("cannot open trace output file: " + outPath);
-  }
-  out << trace::chromeJson(session);
-  if (!out) {
-    throw Error("failed writing trace output file: " + outPath);
-  }
+  writeTraceFile(outPath, session);
   std::cout << "wrote " << outPath
             << " (open in Perfetto: https://ui.perfetto.dev)\n";
   std::cout << trace::metricsSummary(session);

@@ -6,13 +6,12 @@ namespace nodebench::memsim {
 
 Bandwidth HostMemoryModel::achievableBandwidth(
     const ompenv::ThreadPlacement& placement, ByteCount workingSet) const {
-  NB_EXPECTS(!placement.threads.empty());
+  NB_EXPECTS(!placement.threads().empty());
   const machines::HostMemoryParams& p = machine_->hostMemory;
-  const topo::NodeTopology& topo = machine_->topology;
 
   const int cores = placement.coresUsed();
-  const int domains = placement.numaDomainsUsed(topo);
-  const int sockets = placement.socketsUsed(topo);
+  const int domains = placement.numaDomainsUsed();
+  const int sockets = placement.socketsUsed();
   const int smtOccupancy = placement.maxSmtOccupancy();
 
   const Bandwidth corePortion = p.perCoreBw * static_cast<double>(cores);
@@ -23,7 +22,7 @@ Bandwidth HostMemoryModel::achievableBandwidth(
   if (smtOccupancy > 1) {
     bw *= p.smtFactor;
   }
-  if (!placement.bound) {
+  if (!placement.bound()) {
     bw *= placement.threadCount() == 1 ? p.unboundSingleFactor
                                        : p.unboundFactor;
   }

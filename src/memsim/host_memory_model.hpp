@@ -40,7 +40,9 @@ class HostMemoryModel {
       : machine_(&machine), traceSink_(trace::current()) {}
 
   /// Sustained bandwidth (actual-traffic basis) achievable by `placement`
-  /// for a kernel whose resident working set is `workingSet` bytes.
+  /// for a kernel whose resident working set is `workingSet` bytes. The
+  /// placement must have been made on this machine's topology: the model
+  /// reads the shape `ompenv::place` stored in it.
   [[nodiscard]] Bandwidth achievableBandwidth(
       const ompenv::ThreadPlacement& placement, ByteCount workingSet) const;
 

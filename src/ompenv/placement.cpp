@@ -1,41 +1,8 @@
 #include "ompenv/placement.hpp"
 
 #include <algorithm>
-#include <set>
 
 namespace nodebench::ompenv {
-
-int ThreadPlacement::coresUsed() const {
-  std::set<int> cores;
-  for (const ThreadSlot& t : threads) {
-    cores.insert(t.core.value);
-  }
-  return static_cast<int>(cores.size());
-}
-
-int ThreadPlacement::numaDomainsUsed(const topo::NodeTopology& topo) const {
-  std::set<int> numas;
-  for (const ThreadSlot& t : threads) {
-    numas.insert(topo.core(t.core).numa.value);
-  }
-  return static_cast<int>(numas.size());
-}
-
-int ThreadPlacement::socketsUsed(const topo::NodeTopology& topo) const {
-  std::set<int> sockets;
-  for (const ThreadSlot& t : threads) {
-    sockets.insert(topo.core(t.core).socket.value);
-  }
-  return static_cast<int>(sockets.size());
-}
-
-int ThreadPlacement::maxSmtOccupancy() const {
-  int best = 0;
-  for (const ThreadSlot& t : threads) {
-    best = std::max(best, t.smtSlot + 1);
-  }
-  return best;
-}
 
 namespace {
 
@@ -94,8 +61,18 @@ ThreadPlacement place(const topo::NodeTopology& topo, const OmpConfig& cfg) {
       spread ? coresSpread(topo) : coresInOrder(topo);
 
   ThreadPlacement placement;
-  placement.bound = cfg.bound();
-  placement.threads.reserve(static_cast<std::size_t>(n));
+  placement.bound_ = cfg.bound();
+  placement.threads_.reserve(static_cast<std::size_t>(n));
+  std::vector<bool> coreSeen(static_cast<std::size_t>(topo.coreCount()));
+  std::vector<bool> numaSeen(static_cast<std::size_t>(topo.numaCount()));
+  std::vector<bool> socketSeen(static_cast<std::size_t>(topo.socketCount()));
+  // 1 the first time `id` is seen, 0 after.
+  const auto firstSight = [](std::vector<bool>& seen, int id) {
+    const auto slot = static_cast<std::size_t>(id);
+    const bool first = !seen.at(slot);
+    seen[slot] = true;
+    return first ? 1 : 0;
+  };
 
   // One thread per core first; wrap into higher SMT slots only once every
   // core in the visit order already carries a thread. This matches how
@@ -108,8 +85,14 @@ ThreadPlacement place(const topo::NodeTopology& topo, const OmpConfig& cfg) {
       if (assigned >= n) {
         break;
       }
-      if (smtSlot < topo.core(core).smtThreads) {
-        placement.threads.push_back(ThreadSlot{core, smtSlot});
+      const topo::CoreInfo& info = topo.core(core);
+      if (smtSlot < info.smtThreads) {
+        placement.threads_.push_back(ThreadSlot{core, smtSlot});
+        placement.coresUsed_ += firstSight(coreSeen, core.value);
+        placement.numaDomainsUsed_ += firstSight(numaSeen, info.numa.value);
+        placement.socketsUsed_ += firstSight(socketSeen, info.socket.value);
+        placement.maxSmtOccupancy_ =
+            std::max(placement.maxSmtOccupancy_, smtSlot + 1);
         ++assigned;
         progressed = true;
       }

@@ -22,26 +22,47 @@ struct ThreadSlot {
   int smtSlot = 0;  ///< 0 = first hardware thread of the core.
 };
 
-/// Resolved placement of an OpenMP team.
-struct ThreadPlacement {
-  std::vector<ThreadSlot> threads;
-  bool bound = false;  ///< Pinned (OMP_PROC_BIND set and not "false").
+/// Resolved placement of an OpenMP team, with its shape: how many cores,
+/// NUMA domains and sockets the team occupies on the topology it was made
+/// on. A traced STREAM run evaluates the memory model, which reads the
+/// shape, once per binary run, so `place()` counts it once while it
+/// assigns the threads. `place()` is the only way to build a non-empty
+/// placement, so the counts always describe `threads()`.
+class ThreadPlacement {
+ public:
+  [[nodiscard]] const std::vector<ThreadSlot>& threads() const {
+    return threads_;
+  }
+
+  /// Pinned (OMP_PROC_BIND set and not "false").
+  [[nodiscard]] bool bound() const { return bound_; }
 
   [[nodiscard]] int threadCount() const {
-    return static_cast<int>(threads.size());
+    return static_cast<int>(threads_.size());
   }
 
   /// Number of distinct cores occupied.
-  [[nodiscard]] int coresUsed() const;
+  [[nodiscard]] int coresUsed() const { return coresUsed_; }
 
   /// Number of distinct NUMA domains occupied.
-  [[nodiscard]] int numaDomainsUsed(const topo::NodeTopology& topo) const;
+  [[nodiscard]] int numaDomainsUsed() const { return numaDomainsUsed_; }
 
   /// Number of distinct sockets occupied.
-  [[nodiscard]] int socketsUsed(const topo::NodeTopology& topo) const;
+  [[nodiscard]] int socketsUsed() const { return socketsUsed_; }
 
   /// Max threads stacked on any single core (SMT pressure).
-  [[nodiscard]] int maxSmtOccupancy() const;
+  [[nodiscard]] int maxSmtOccupancy() const { return maxSmtOccupancy_; }
+
+ private:
+  friend ThreadPlacement place(const topo::NodeTopology& topo,
+                               const OmpConfig& cfg);
+
+  std::vector<ThreadSlot> threads_;
+  bool bound_ = false;
+  int coresUsed_ = 0;
+  int numaDomainsUsed_ = 0;
+  int socketsUsed_ = 0;
+  int maxSmtOccupancy_ = 0;
 };
 
 /// Computes the placement of `cfg` on `topo`.

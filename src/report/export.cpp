@@ -15,6 +15,9 @@ void writeFile(const std::filesystem::path& path, const std::string& text) {
     throw Error("cannot open " + path.string() + " for writing");
   }
   out << text;
+  // Close before checking: small files are written only by the final
+  // flush, and its failure (ENOSPC) would otherwise go unreported.
+  out.close();
   if (!out) {
     throw Error("failed writing " + path.string());
   }

@@ -74,10 +74,10 @@ struct ModeLock {
 
 #if NODEBENCH_VT_COOP
 
-/// Fiber contexts of one cooperative run. The scheduler loop in
-/// runCooperative owns `main`; each rank's continuation lives in its
-/// fiber's `ctx` (the initial makecontext before first resume, the
-/// suspension point inside waitUntilRunning afterwards).
+/// Fiber contexts of one cooperative run. The loop in runCooperative owns
+/// `main`; each rank's continuation lives in its fiber's `ctx` (the
+/// initial makecontext before first resume, the suspension point inside
+/// waitUntilRunning afterwards).
 struct VirtualTimeScheduler::CoopRuntime {
   struct Fiber {
     ucontext_t ctx;
@@ -107,9 +107,11 @@ void VirtualTimeScheduler::coopTrampoline(unsigned int hi, unsigned int lo,
                     (*self->coop_->fns)[static_cast<std::size_t>(rank)]);
 }
 
-void VirtualTimeScheduler::coopYieldToMain(int rank) {
-  CoopRuntime::Fiber& f = coop_->fibers[static_cast<std::size_t>(rank)];
-  NB_ENSURES(swapcontext(&f.ctx, &coop_->main) == 0);
+void VirtualTimeScheduler::coopHandOff(int rank) {
+  CoopRuntime::Fiber& from = coop_->fibers[static_cast<std::size_t>(rank)];
+  CoopRuntime::Fiber& to =
+      coop_->fibers[static_cast<std::size_t>(coopRunner_)];
+  NB_ENSURES(swapcontext(&from.ctx, &to.ctx) == 0);
 }
 
 void VirtualTimeScheduler::runCooperative(const std::vector<ProcessFn>& fns) {
@@ -130,9 +132,10 @@ void VirtualTimeScheduler::runCooperative(const std::vector<ProcessFn>& fns) {
                 static_cast<int>(i));
   }
   coopActive_ = true;
-  // Resume whichever fiber the shared scheduling logic marked Running;
-  // every handoff funnels back through here (fiber yields to main, main
-  // resumes the next runner), so this loop is the whole execution engine.
+  // Running fibers hand off to each other directly (coopHandOff), so
+  // control comes back here only when a fiber returns through uc_link.
+  // The loop starts rank 0, then after each finished fiber resumes
+  // whichever rank the finishing fiber marked Running, until none is.
   while (true) {
     int next = -1;
     for (int i = 0; i < static_cast<int>(slots_.size()); ++i) {
@@ -168,7 +171,7 @@ bool VirtualTimeScheduler::cooperativeSupported() { return true; }
 
 struct VirtualTimeScheduler::CoopRuntime {};
 
-void VirtualTimeScheduler::coopYieldToMain(int) {
+void VirtualTimeScheduler::coopHandOff(int) {
   throw Error("cooperative scheduling not compiled in");
 }
 
@@ -285,7 +288,9 @@ void VirtualTimeScheduler::switchToLocked(int next) {
   NB_ENSURES(slots_[next].state == State::Ready);
   slots_[next].state = State::Running;
   ++switches_;
-  if (!coopActive_) {
+  if (coopActive_) {
+    coopRunner_ = next;
+  } else {
     cv_.notify_all();
   }
 }
@@ -296,14 +301,15 @@ void VirtualTimeScheduler::waitUntilRunning(
     cv_.wait(*lock, [&] {
       return aborted_ || slots_[rank].state == State::Running;
     });
-  } else {
-    while (!aborted_ && slots_[rank].state != State::Running) {
-      coopYieldToMain(rank);
-    }
+  } else if (!aborted_ && slots_[rank].state != State::Running) {
+    // Only a handoff that marked this rank Running, or runCooperative's
+    // abort unwind, resumes this fiber, so one swap suffices.
+    coopHandOff(rank);
   }
   if (aborted_) {
     throw Error("virtual-time system aborted (see primary error)");
   }
+  NB_ENSURES(slots_[rank].state == State::Running);
 }
 
 void VirtualTimeScheduler::checkWatchdogLocked(int rank) {

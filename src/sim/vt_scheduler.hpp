@@ -15,7 +15,8 @@
 ///    thread sanitizer can check, and the only mode available when the
 ///    build is sanitized.
 ///  - `Mode::Cooperative` — all ranks run as user-level continuations
-///    (ucontext fibers) on the calling thread; a handoff is a context swap
+///    (ucontext fibers) on the calling thread; a handoff is one context
+///    swap from the yielding fiber straight into the next runner's,
 ///    instead of a kernel-level wake+sleep, which removes the dominant
 ///    wall-clock cost of simulated benchmarks on small machines. Scheduling
 ///    decisions flow through the *same* pick/switch code as thread mode, so
@@ -205,9 +206,10 @@ class VirtualTimeScheduler {
 
   void runThreads(const std::vector<ProcessFn>& fns);
   void runCooperative(const std::vector<ProcessFn>& fns);
-  /// Suspends the current fiber and resumes the scheduler loop
-  /// (cooperative mode only).
-  void coopYieldToMain(int rank);
+  /// Suspends fiber `rank` and resumes the fiber of `coopRunner_`, the
+  /// rank switchToLocked just marked Running: one context swap per
+  /// handoff (cooperative mode only).
+  void coopHandOff(int rank);
   /// Fiber entry point (cooperative mode only; ucontext calling shim).
   static void coopTrampoline(unsigned int hi, unsigned int lo, int rank);
 
@@ -220,6 +222,7 @@ class VirtualTimeScheduler {
   Duration watchdog_ = Duration::infinity();
   Mode mode_ = Mode::Threads;
   bool coopActive_ = false;  ///< True while runCooperative is in flight.
+  int coopRunner_ = -1;  ///< Cooperative mode: last rank marked Running.
   std::unique_ptr<CoopRuntime> coop_;
 };
 

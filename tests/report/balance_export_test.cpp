@@ -101,6 +101,17 @@ TEST_F(ExportTest, ExportAllProducesTenTableTriples) {
   EXPECT_TRUE(std::filesystem::exists(dir_ / "machine_balance.md"));
 }
 
+/// A table small enough to sit in the stream buffer reaches the file only
+/// at the final flush; ENOSPC there must still fail the export.
+TEST_F(ExportTest, FailedFinalFlushIsAnError) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this platform";
+  }
+  std::filesystem::create_directories(dir_);
+  std::filesystem::create_symlink("/dev/full", dir_ / "t2.csv");
+  EXPECT_THROW((void)exportTable(buildTable2(), dir_, "t2"), Error);
+}
+
 TEST_F(ExportTest, RejectsEmptyStem) {
   EXPECT_THROW((void)exportTable(buildTable2(), dir_, ""),
                PreconditionError);

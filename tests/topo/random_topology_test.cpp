@@ -10,6 +10,8 @@
 #include "ompenv/placement.hpp"
 #include "topo/topology.hpp"
 
+#include "../ompenv/shape_recount.hpp"
+
 namespace nodebench::topo {
 namespace {
 
@@ -126,13 +128,30 @@ TEST_P(RandomTopologyTest, PlacementsRemainValidOnArbitraryShapes) {
           node, ompenv::OmpConfig{threads, bind, ompenv::Places::NotSet});
       EXPECT_GE(p.threadCount(), 1);
       std::set<std::pair<int, int>> seen;
-      for (const auto& t : p.threads) {
+      for (const auto& t : p.threads()) {
         EXPECT_LT(t.core.value, node.coreCount());
         EXPECT_LT(t.smtSlot, node.core(t.core).smtThreads);
         EXPECT_TRUE(seen.insert({t.core.value, t.smtSlot}).second);
       }
       EXPECT_LE(p.coresUsed(), node.coreCount());
-      EXPECT_LE(p.socketsUsed(node), node.socketCount());
+      EXPECT_LE(p.socketsUsed(), node.socketCount());
+    }
+  }
+}
+
+/// The shape `place()` stores equals a std::set recount of its threads on
+/// arbitrary shapes, including mixed SMT widths within one node.
+TEST_P(RandomTopologyTest, PlacementShapeMatchesRecount) {
+  const NodeTopology node = randomNode(GetParam(), false);
+  for (const auto bind :
+       {ompenv::ProcBind::NotSet, ompenv::ProcBind::True,
+        ompenv::ProcBind::Close, ompenv::ProcBind::Spread}) {
+    for (const int threads : {1, 3, node.coreCount(), 10000}) {
+      SCOPED_TRACE(threads);
+      ompenv::expectShapeMatchesRecount(
+          ompenv::place(node, ompenv::OmpConfig{threads, bind,
+                                                ompenv::Places::NotSet}),
+          node);
     }
   }
 }

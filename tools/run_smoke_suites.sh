@@ -42,6 +42,10 @@
 #    knee property, --jobs byte-identity, and the journal + store +
 #    shard -> merge composition for the sweep/chase grids; then the
 #    memlab microbenchmarks dumped to <build>/BENCH_memlab.json.
+#  - trace: the trace layer (tests/trace/): scope and sink unit tests,
+#    recorded-trace invariants, the --jobs byte-identity of the exports
+#    (TraceDeterminism) and the golden traced output of Tables 4-6
+#    (TraceGolden, against tests/trace/golden/).
 #  - simcore: scheduler-mode and closed-form fast-path determinism
 #    cross-checks (tests/simcore/), then the simulation-core
 #    microbenchmarks dumped to <build>/BENCH_simcore.json, then a gate
@@ -111,6 +115,10 @@ if [[ -x "${memlab_gbench}" ]]; then
 else
   echo "note: skipping memlab microbenchmarks (${memlab_gbench} not built)" >&2
 fi
+
+echo
+echo "== trace suite (trace layer: determinism + golden traced output) =="
+ctest --test-dir "${build_dir}" -L trace --output-on-failure
 
 echo
 echo "== simcore suite (scheduler modes + fast-path determinism) =="
