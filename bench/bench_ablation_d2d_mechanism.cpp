@@ -7,6 +7,10 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "commscope/commscope.hpp"
+#include "machines/registry.hpp"
+#include "osu/latency.hpp"
+#include "osu/pairs.hpp"
 
 int main(int argc, char** argv) {
   using namespace nodebench;

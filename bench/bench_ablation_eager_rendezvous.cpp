@@ -8,6 +8,9 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "machines/registry.hpp"
+#include "osu/latency.hpp"
+#include "osu/pairs.hpp"
 
 int main(int argc, char** argv) {
   using namespace nodebench;

@@ -10,6 +10,7 @@
 #include "babelstream/driver.hpp"
 #include "babelstream/sim_omp_backend.hpp"
 #include "bench_common.hpp"
+#include "machines/registry.hpp"
 
 int main(int argc, char** argv) {
   using namespace nodebench;

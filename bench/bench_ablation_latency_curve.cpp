@@ -7,6 +7,9 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "machines/registry.hpp"
+#include "osu/latency.hpp"
+#include "osu/pairs.hpp"
 #include "report/ascii_chart.hpp"
 
 int main(int argc, char** argv) {

@@ -11,6 +11,7 @@
 #include "babelstream/kernels.hpp"
 #include "bench_common.hpp"
 #include "gpusim/gpu_runtime.hpp"
+#include "machines/registry.hpp"
 
 int main(int argc, char** argv) {
   using namespace nodebench;

@@ -10,6 +10,7 @@
 #include "babelstream/sim_device_backend.hpp"
 #include "babelstream/sim_omp_backend.hpp"
 #include "bench_common.hpp"
+#include "machines/registry.hpp"
 #include "report/ascii_chart.hpp"
 
 int main(int argc, char** argv) {

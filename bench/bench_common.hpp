@@ -1,12 +1,10 @@
 #pragma once
 /// \file bench_common.hpp
-/// \brief Shared helpers for the table/figure bench harnesses: a
-/// paper-vs-measured comparison table builder and the --runs/--jobs
-/// argument parser.
+/// \brief The --runs/--jobs/--journal/--store argument parser shared by
+/// the ablation and extension bench harnesses.
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -15,19 +13,9 @@
 #include <vector>
 
 #include "campaign/journal.hpp"
-#include "commscope/commscope.hpp"
-#include "core/parallel.hpp"
-#include "core/samples.hpp"
-#include "core/stats.hpp"
-#include "core/table.hpp"
-#include "machines/registry.hpp"
-#include "osu/latency.hpp"
-#include "osu/pairs.hpp"
-#include "report/figures.hpp"
-#include "report/paper_reference.hpp"
+#include "core/error.hpp"
 #include "report/tables.hpp"
 #include "stats/store.hpp"
-#include "topo/dot.hpp"
 
 namespace nodebench::benchtool {
 
@@ -162,140 +150,6 @@ inline report::TableOptions optionsFromArgs(int argc, char** argv) {
                  argv[0], e.what(), argv[0]);
     std::exit(2);
   }
-}
-
-/// Accumulates "cell | paper | measured | ratio" comparison rows.
-class Comparison {
- public:
-  explicit Comparison(std::string title)
-      : table_({"Quantity", "Paper", "Measured", "Ratio"}),
-        title_(std::move(title)) {
-    table_.setTitle(title_);
-  }
-
-  void add(const std::string& label, const report::paper::Value& ref,
-           const Summary& measured, int precision = 2) {
-    char ratio[32];
-    std::snprintf(ratio, sizeof(ratio), "%.3f", measured.mean / ref.mean);
-    char paperCell[64];
-    std::snprintf(paperCell, sizeof(paperCell), "%.*f ± %.*f", precision,
-                  ref.mean, precision, ref.sd);
-    table_.addRow({label, paperCell, measured.toString(precision), ratio});
-    worst_ = std::max(worst_, std::abs(measured.mean / ref.mean - 1.0));
-  }
-
-  void addSeparator() { table_.addSeparator(); }
-
-  /// Prints the table plus the worst relative deviation.
-  void print() const {
-    std::fputs(table_.renderAscii().c_str(), stdout);
-    std::printf("worst |measured/paper - 1|: %.2f%%\n\n", worst_ * 100.0);
-  }
-
- private:
-  Table table_;
-  std::string title_;
-  double worst_ = 0.0;
-};
-
-/// Figure harness shared by bench_fig1/2/3: renders the node diagram, the
-/// link-class legend, the DOT export, and annotates each link class with
-/// the measured OSU (Table 5) and Comm|Scope (Table 6) latencies — the
-/// quantities the paper's figure arrows point at.
-inline void printFigure(const std::string& machineName,
-                        const report::TableOptions& opt) {
-  const machines::Machine& m = machines::byName(machineName);
-  std::fputs(report::nodeDiagram(m).c_str(), stdout);
-  std::printf("\n");
-  std::fputs(report::linkClassLegend(m).c_str(), stdout);
-
-  commscope::Config ccfg;
-  ccfg.binaryRuns = opt.binaryRuns;
-  osu::LatencyConfig lcfg;
-  lcfg.binaryRuns = opt.binaryRuns;
-
-  Table t({"Link class", "OSU D2D MPI latency (us)",
-           "Comm|Scope D2D memcpy latency (us)"});
-  t.setTitle("Measured per-class latencies (arrows of the paper's figure)");
-  // Measure the link classes in parallel (one OSU + one Comm|Scope cell
-  // each), then emit rows in class order.
-  struct ClassRow {
-    Summary mpi;
-    Summary copy;
-  };
-  const auto classes = m.topology.presentGpuLinkClasses();
-  const auto measured = par::parallelMap(
-      classes,
-      [&](const topo::LinkClass c) {
-        // Under --journal, each class row is one campaign cell: replay it
-        // bit-exactly when already journalled, persist it otherwise. A
-        // cell the store lacks is re-measured even when the journal could
-        // replay it (replayed payloads carry no raw samples);
-        // re-measurement is bit-identical and the append is idempotent.
-        const std::string cell =
-            std::string("figure D2D class ") +
-            static_cast<char>('A' + static_cast<int>(c));
-        const bool wantStore =
-            opt.store != nullptr && !opt.store->containsCell(m.info.name, cell);
-        if (opt.journal != nullptr && !wantStore) {
-          if (const campaign::CellRecord* rec =
-                  opt.journal->find(m.info.name, cell)) {
-            campaign::PayloadReader r(rec->payload);
-            ClassRow row;
-            row.mpi = campaign::readSummary(r);
-            row.copy = campaign::readSummary(r);
-            return row;
-          }
-        }
-        std::optional<SampleCapture> capture;
-        if (wantStore) {
-          capture.emplace();
-        }
-        const auto [a, b] = osu::devicePair(m, c);
-        ClassRow row;
-        row.mpi =
-            osu::LatencyBenchmark(m, a, b, mpisim::BufferSpace::Kind::Device)
-                .measure(lcfg)
-                .latencyUs;
-        row.copy = commscope::CommScope(m).d2dLatencyUs(c, ccfg);
-        if (wantStore) {
-          stats::SampleRecord rec;
-          rec.machine = m.info.name;
-          rec.cell = cell;
-          rec.unit = "us";
-          rec.better = stats::Better::Lower;
-          rec.quantity = "OSU D2D MPI latency";
-          rec.summary = row.mpi;
-          rec.samples = capture->take(osu::kLatencySampleChannel);
-          opt.store->append(rec);
-          rec.quantity = "Comm|Scope D2D memcpy latency";
-          rec.summary = row.copy;
-          rec.samples = capture->take(commscope::kD2dLatencySampleChannel);
-          opt.store->append(std::move(rec));
-        }
-        if (opt.journal != nullptr) {
-          campaign::CellRecord rec;
-          rec.machine = m.info.name;
-          rec.cell = cell;
-          rec.attempts = 1;
-          campaign::PayloadWriter w;
-          campaign::putSummary(w, row.mpi);
-          campaign::putSummary(w, row.copy);
-          rec.payload = w.bytes();
-          opt.journal->append(std::move(rec));
-        }
-        return row;
-      },
-      opt.jobs);
-  for (std::size_t i = 0; i < classes.size(); ++i) {
-    t.addRow({std::string(topo::linkClassName(classes[i])),
-              measured[i].mpi.toString(), measured[i].copy.toString()});
-  }
-  std::printf("\n");
-  std::fputs(t.renderAscii().c_str(), stdout);
-
-  std::printf("\nGraphviz export:\n\n%s",
-              topo::toDot(m.topology, m.info.name).c_str());
 }
 
 }  // namespace nodebench::benchtool

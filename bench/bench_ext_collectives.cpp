@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/parallel.hpp"
+#include "machines/registry.hpp"
 #include "osu/collectives.hpp"
 
 int main(int argc, char** argv) {

@@ -10,6 +10,7 @@
 #include "babelstream/sim_omp_backend.hpp"
 #include "bench_common.hpp"
 #include "machines/extra_machines.hpp"
+#include "machines/registry.hpp"
 #include "osu/latency.hpp"
 #include "osu/pairs.hpp"
 #include "report/balance.hpp"

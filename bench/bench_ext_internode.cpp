@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "machines/registry.hpp"
 #include "netsim/network.hpp"
 
 int main(int argc, char** argv) {

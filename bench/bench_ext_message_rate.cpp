@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "machines/registry.hpp"
 #include "netsim/network.hpp"
 #include "osu/message_rate.hpp"
 

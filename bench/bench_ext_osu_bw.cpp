@@ -7,7 +7,10 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/parallel.hpp"
+#include "machines/registry.hpp"
 #include "osu/bandwidth.hpp"
+#include "osu/pairs.hpp"
 
 int main(int argc, char** argv) {
   using namespace nodebench;

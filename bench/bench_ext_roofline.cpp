@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "machines/registry.hpp"
 #include "report/roofline.hpp"
 #include "workload/gemm.hpp"
 

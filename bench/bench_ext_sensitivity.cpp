@@ -12,6 +12,7 @@
 #include "babelstream/sim_device_backend.hpp"
 #include "bench_common.hpp"
 #include "commscope/commscope.hpp"
+#include "machines/registry.hpp"
 #include "osu/latency.hpp"
 #include "osu/pairs.hpp"
 

@@ -8,7 +8,9 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "commscope/commscope.hpp"
 #include "gpusim/gpu_runtime.hpp"
+#include "machines/registry.hpp"
 
 int main(int argc, char** argv) {
   using namespace nodebench;

@@ -35,6 +35,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -60,7 +61,7 @@
 #include "report/balance.hpp"
 #include "report/export.hpp"
 #include "report/figures.hpp"
-#include "report/memlab_report.hpp"
+#include "report/reports.hpp"
 #include "report/tables.hpp"
 #include "serve/server.hpp"
 #include "stats/compare.hpp"
@@ -299,79 +300,100 @@ void installInterruptHandlers() {
   (void)std::signal(SIGTERM, onInterruptSignal);
 }
 
-/// Parses `--journal FILE` / `--resume` / `--crash-after-cell N` (the
-/// last a hidden crash-injection test hook) and opens the campaign
-/// journal. Must run after every other option lands in `opt`, because
-/// the journal header fingerprints the final configuration. All journal
-/// chatter goes to stderr so stdout stays byte-identical to a
-/// journal-less run.
-std::unique_ptr<campaign::Journal> openJournal(std::vector<std::string>& args,
-                                               report::TableOptions& opt) {
-  const auto path = flagValue(args, "--journal");
-  const bool resume = flagPresent(args, "--resume");
-  const auto crashAfter = positiveFlagValue(args, "--crash-after-cell");
-  if (!path) {
+/// The campaign-file flags of `table` and `export`: `--journal FILE`,
+/// `--resume`, `--crash-after-cell N` (a hidden crash-injection test
+/// hook) and `--store FILE`. Parsed before anything is opened, so an
+/// argument rejected afterwards leaves no file behind.
+struct CampaignFiles {
+  std::optional<std::string> journal;
+  bool resume = false;
+  std::optional<int> crashAfterCell;
+  std::optional<std::string> store;
+};
+
+CampaignFiles campaignFiles(std::vector<std::string>& args) {
+  CampaignFiles files;
+  files.journal = flagValue(args, "--journal");
+  files.resume = flagPresent(args, "--resume");
+  files.crashAfterCell = positiveFlagValue(args, "--crash-after-cell");
+  if (!files.journal) {
     if (std::find(args.begin(), args.end(), "--journal") != args.end()) {
       throw Error("--journal expects a value");
     }
-    if (resume) {
+    if (files.resume) {
       throw Error("--resume requires --journal FILE");
     }
-    if (crashAfter) {
+    if (files.crashAfterCell) {
       throw Error("--crash-after-cell requires --journal FILE");
     }
-    return nullptr;
   }
-  const campaign::CampaignConfig cfg = report::campaignConfig(opt);
-  std::unique_ptr<campaign::Journal> journal;
-  if (resume) {
-    journal = campaign::Journal::resume(*path, cfg);
-    for (const std::string& warning : journal->warnings()) {
-      std::cerr << "nodebench: warning: " << warning << "\n";
-    }
-    std::cerr << "nodebench: resuming campaign from " << *path << " ("
-              << journal->cellRecordCount() << " cell(s) already measured)\n";
-  } else {
-    journal = campaign::Journal::create(*path, cfg);
+  files.store = flagValue(args, "--store");
+  if (!files.store &&
+      std::find(args.begin(), args.end(), "--store") != args.end()) {
+    throw Error("--store expects a value");
   }
-  if (crashAfter) {
-    journal->setCrashAfterAppends(*crashAfter);
-  }
-  opt.journal = journal.get();
-  return journal;
+  return files;
 }
 
-/// Parses `--store FILE` and opens the statistical results store. Like
-/// openJournal, must run after every other option lands in `opt` (the
-/// store header fingerprints the final configuration). `resume` is the
-/// journal's --resume (peeked before openJournal consumes it): a resumed
-/// campaign reattaches its store — after validating the fingerprint —
-/// instead of refusing to overwrite it. Store chatter goes to stderr so
-/// stdout stays byte-identical to a store-less run.
-std::unique_ptr<stats::ResultStore> openStore(std::vector<std::string>& args,
-                                              report::TableOptions& opt,
-                                              bool resume) {
-  const auto path = flagValue(args, "--store");
-  if (!path) {
-    if (std::find(args.begin(), args.end(), "--store") != args.end()) {
-      throw Error("--store expects a value");
+/// The journal and results store one run opened; null when not asked for.
+struct OpenCampaign {
+  std::unique_ptr<campaign::Journal> journal;
+  std::unique_ptr<stats::ResultStore> store;
+};
+
+/// Opens the campaign journal and results store and wires them into
+/// `opt`; a journaled run also stops cleanly on SIGINT/SIGTERM. Must run
+/// after every other option lands in `opt`, because both headers
+/// fingerprint the final configuration. A resumed campaign reattaches
+/// its store, after validating the fingerprint, instead of refusing to
+/// overwrite it. All journal and store chatter goes to stderr so stdout
+/// stays byte-identical to a run without them.
+OpenCampaign openCampaign(const CampaignFiles& files,
+                          report::TableOptions& opt) {
+  if (opt.shard != nullptr && !files.journal) {
+    throw Error("--shard requires --journal FILE (the shard journal is "
+                "what `nodebench merge` consumes)");
+  }
+  const campaign::CampaignConfig cfg = report::campaignConfig(opt);
+  OpenCampaign opened;
+  if (files.journal) {
+    if (files.resume) {
+      opened.journal = campaign::Journal::resume(*files.journal, cfg);
+      for (const std::string& warning : opened.journal->warnings()) {
+        std::cerr << "nodebench: warning: " << warning << "\n";
+      }
+      std::cerr << "nodebench: resuming campaign from " << *files.journal
+                << " (" << opened.journal->cellRecordCount()
+                << " cell(s) already measured)\n";
+    } else {
+      opened.journal = campaign::Journal::create(*files.journal, cfg);
     }
-    return nullptr;
+    if (files.crashAfterCell) {
+      opened.journal->setCrashAfterAppends(*files.crashAfterCell);
+    }
+    opt.journal = opened.journal.get();
   }
-  auto store =
-      stats::ResultStore::attach(*path, report::campaignConfig(opt), resume);
-  if (resume && store->recordCount() > 0) {
-    std::cerr << "nodebench: reattaching results store " << *path << " ("
-              << store->recordCount() << " record(s) already stored)\n";
+  if (files.store) {
+    opened.store = stats::ResultStore::attach(*files.store, cfg, files.resume);
+    if (files.resume && opened.store->recordCount() > 0) {
+      std::cerr << "nodebench: reattaching results store " << *files.store
+                << " (" << opened.store->recordCount()
+                << " record(s) already stored)\n";
+    }
+    opt.store = opened.store.get();
   }
-  opt.store = store.get();
-  return store;
+  if (opened.journal) {
+    installInterruptHandlers();
+    opt.cancel = &interruptToken();
+  }
+  return opened;
 }
 
 /// Parses `--shard i/N` and builds the shard plan. Must run *before*
-/// openJournal (the journal header fingerprints the shard spec) and
-/// requires --journal — an unjournalled shard run would produce nothing
-/// `nodebench merge` could consume, which is never what the user meant.
+/// openCampaign (the journal header fingerprints the shard spec), which
+/// refuses a shard run without --journal: an unjournalled shard run
+/// would produce nothing `nodebench merge` could consume, which is never
+/// what the user meant.
 std::unique_ptr<campaign::ShardPlan> openShardPlan(
     std::vector<std::string>& args, report::TableOptions& opt) {
   const auto spec = flagValue(args, "--shard");
@@ -470,9 +492,6 @@ int cmdTable(std::vector<std::string> args) {
     plan = faults::FaultPlan::load(*planPath);
     opt.faults = &*plan;
   }
-  if (args.empty()) {
-    return usage();
-  }
   if (const auto runs = positiveFlagValue(args, "--runs")) {
     opt.binaryRuns = *runs;
   }
@@ -508,104 +527,39 @@ int cmdTable(std::vector<std::string> args) {
   const bool testFailRun = flagPresent(args, "--test-fail-run");
   const std::unique_ptr<campaign::ShardPlan> shardPlan =
       openShardPlan(args, opt);
-  // Peek --resume before openJournal consumes it: the store reattach
-  // decision follows the journal's.
-  const bool resume =
-      std::find(args.begin(), args.end(), "--resume") != args.end();
-  const std::unique_ptr<campaign::Journal> journal = openJournal(args, opt);
-  if (shardPlan && !journal) {
-    throw Error("--shard requires --journal FILE (the shard journal is "
-                "what `nodebench merge` consumes)");
+  const CampaignFiles files = campaignFiles(args);
+  rejectLeftoverFlags(args);
+  if (args.empty()) {
+    return usage();
   }
-  const std::unique_ptr<stats::ResultStore> store =
-      openStore(args, opt, resume);
-  if (journal) {
-    installInterruptHandlers();
-    opt.cancel = &interruptToken();
+  if (args.size() > 1) {
+    throw Error("table expects exactly one selector (1..9, all, sweep or "
+                "chase), got " + std::to_string(args.size()));
   }
+  // Resolved before any journal, store or heartbeat file exists, so a bad
+  // selector leaves nothing behind.
+  const std::span<const report::Report> reports =
+      report::selectReports(args[0]);
+  const OpenCampaign opened = openCampaign(files, opt);
   std::unique_ptr<supervise::HeartbeatWriter> heartbeat;
   if (heartbeatFile) {
     heartbeat = std::make_unique<supervise::HeartbeatWriter>(
         *heartbeatFile, heartbeatIntervalMs,
         stallAfter ? static_cast<std::uint64_t>(*stallAfter) : 0);
   }
-  rejectLeftoverFlags(args);
-  const std::string which = args[0];
   if (testFailRun) {
     // Fires after the journal/store exist, so the supervisor's retry has
     // real artifacts to resume — exactly what a mid-campaign crash
     // leaves behind.
     throw Error("test failure injected by --test-fail-run");
   }
-  std::vector<report::CellIncident> incidents;
-  const auto emit = [&](int n) {
-    switch (n) {
-      case 1: std::cout << report::buildTable1().renderAscii(); break;
-      case 2: std::cout << report::buildTable2().renderAscii(); break;
-      case 3: std::cout << report::buildTable3().renderAscii(); break;
-      case 4: {
-        const auto rows = report::computeTable4(opt, &incidents);
-        std::cout << report::renderTable4(rows, &incidents).renderAscii();
-        break;
-      }
-      case 5: {
-        const auto rows = report::computeTable5(opt, &incidents);
-        std::cout << report::renderTable5(rows, &incidents).renderAscii();
-        break;
-      }
-      case 6: {
-        const auto rows = report::computeTable6(opt, &incidents);
-        std::cout << report::renderTable6(rows, &incidents).renderAscii();
-        break;
-      }
-      case 7: {
-        const auto t5 = report::computeTable5(opt, &incidents);
-        const auto t6 = report::computeTable6(opt, &incidents);
-        std::cout << report::buildTable7(t5, t6, &incidents).renderAscii();
-        break;
-      }
-      case 8: std::cout << report::buildTable8().renderAscii(); break;
-      case 9: std::cout << report::buildTable9().renderAscii(); break;
-      default: throw Error("table number must be 1..9");
-    }
-    std::cout << '\n';
-  };
-  // The memlab families ride the same harness as the numbered tables, so
-  // `table sweep` / `table chase` are what shard and supervise workers
-  // exec; the top-level `nodebench sweep` / `nodebench chase` commands
-  // are aliases onto this path.
-  const auto emitFamily = [&](const std::string& family) {
-    if (family == "sweep") {
-      const auto rows = report::computeSweep(opt, &incidents);
-      std::cout << report::renderSweep(rows, &incidents).renderAscii();
-      if (const std::string chart = report::renderSweepChart(rows);
-          !chart.empty()) {
-        std::cout << '\n' << chart;
-      }
-    } else {
-      const auto rows = report::computeChase(opt, &incidents);
-      std::cout << report::renderChaseNs(rows, &incidents).renderAscii()
-                << '\n'
-                << report::renderChaseClk(rows, &incidents).renderAscii();
-      if (const std::string chart = report::renderChaseChart(rows);
-          !chart.empty()) {
-        std::cout << '\n' << chart;
-      }
-    }
-    std::cout << '\n';
-  };
-  if (which == "all") {
-    for (int n = 1; n <= 9; ++n) {
-      emit(n);
-    }
-  } else if (which == "sweep" || which == "chase") {
-    emitFamily(which);
-  } else {
-    emit(std::stoi(which));
+  report::ReportRun run(opt);
+  for (const report::Report& r : reports) {
+    std::cout << r.render(run).ascii() << '\n';
   }
   // Fault-free runs collect no incidents, so stdout stays byte-identical
   // to the pre-resilience harness.
-  const std::string diagnostics = report::renderDiagnostics(incidents);
+  const std::string diagnostics = report::renderDiagnostics(run.incidents());
   if (!diagnostics.empty()) {
     std::cout << diagnostics;
   }
@@ -827,20 +781,15 @@ int cmdExport(std::vector<std::string> args) {
   }
   const std::unique_ptr<campaign::ShardPlan> shardPlan =
       openShardPlan(args, opt);
-  const bool resume =
-      std::find(args.begin(), args.end(), "--resume") != args.end();
-  const std::unique_ptr<campaign::Journal> journal = openJournal(args, opt);
-  if (shardPlan && !journal) {
-    throw Error("--shard requires --journal FILE (the shard journal is "
-                "what `nodebench merge` consumes)");
-  }
-  const std::unique_ptr<stats::ResultStore> store =
-      openStore(args, opt, resume);
-  if (journal) {
-    installInterruptHandlers();
-    opt.cancel = &interruptToken();
-  }
+  const CampaignFiles files = campaignFiles(args);
   rejectLeftoverFlags(args);
+  // Like a stray flag, a stray argument (say, a directory given without
+  // --dir) would otherwise be ignored and the files written elsewhere.
+  if (!args.empty()) {
+    throw Error("unexpected argument '" + args[0] +
+                "' (export writes to --dir D)");
+  }
+  const OpenCampaign opened = openCampaign(files, opt);
   const auto manifest = report::exportAllTables(dir, opt);
   for (const auto& path : manifest.written) {
     std::cout << "wrote " << path.string() << "\n";
@@ -872,15 +821,12 @@ int cmdFaults(std::vector<std::string> args) {
   opt.faults = &plan;
   std::cout << plan.summary() << '\n';
 
-  std::vector<report::CellIncident> incidents;
-  const auto t4 = report::computeTable4(opt, &incidents);
-  const auto t5 = report::computeTable5(opt, &incidents);
-  const auto t6 = report::computeTable6(opt, &incidents);
-  std::cout << report::renderTable4(t4, &incidents).renderAscii() << '\n'
-            << report::renderTable5(t5, &incidents).renderAscii() << '\n'
-            << report::renderTable6(t6, &incidents).renderAscii() << '\n'
-            << report::buildTable7(t5, t6, &incidents).renderAscii() << '\n';
-  const std::string diagnostics = report::renderDiagnostics(incidents);
+  report::ReportRun run(opt);
+  for (const std::string_view label : {"4", "5", "6", "7"}) {
+    std::cout << report::selectReports(label).front().render(run).ascii()
+              << '\n';
+  }
+  const std::string diagnostics = report::renderDiagnostics(run.incidents());
   std::cout << (diagnostics.empty() ? "No incidents: every cell measured "
                                       "on its first attempt.\n"
                                     : diagnostics);
@@ -1206,6 +1152,9 @@ int cmdShard(std::vector<std::string> args) {
     return usage();
   }
   const std::string which = args[0];
+  // Resolved before any worker forks, so a bad selector creates no shard
+  // files.
+  (void)report::selectReports(which);
   if (mergeStoreOut && !storeBase) {
     throw Error("--merge-store-out requires --store BASE (the workers "
                 "must write shard stores to merge)");
@@ -1511,6 +1460,12 @@ int cmdServe(std::vector<std::string> args) {
     return usage();
   }
 
+  // Handlers first: start() makes the daemon reachable, and a SIGTERM
+  // that arrives before the handlers are in place would kill it instead
+  // of draining it.
+  g_serveDrainFlag = 0;
+  (void)std::signal(SIGINT, onServeSignal);
+  (void)std::signal(SIGTERM, onServeSignal);
   const std::string socketPath = sopt.socketPath;
   serve::Server server(std::move(sopt));
   server.start();
@@ -1522,9 +1477,6 @@ int cmdServe(std::vector<std::string> args) {
               << server.boundPort() << std::endl;
   }
 
-  g_serveDrainFlag = 0;
-  (void)std::signal(SIGINT, onServeSignal);
-  (void)std::signal(SIGTERM, onServeSignal);
   while (g_serveDrainFlag == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }

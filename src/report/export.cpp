@@ -4,6 +4,7 @@
 
 #include "core/error.hpp"
 #include "report/balance.hpp"
+#include "report/reports.hpp"
 
 namespace nodebench::report {
 
@@ -42,28 +43,19 @@ std::vector<std::filesystem::path> exportTable(
 ExportManifest exportAllTables(const std::filesystem::path& dir,
                                const TableOptions& options) {
   ExportManifest manifest;
-  const auto add = [&](const Table& t, const std::string& stem) {
-    for (auto& path : exportTable(t, dir, stem)) {
+  const auto add = [&](const Table& t, std::string_view stem) {
+    for (auto& path : exportTable(t, dir, std::string(stem))) {
       manifest.written.push_back(std::move(path));
     }
   };
-  std::vector<CellIncident> incidents;
-  add(buildTable1(), "table1_omp_combinations");
-  add(buildTable2(), "table2_cpu_systems");
-  add(buildTable3(), "table3_gpu_systems");
-  add(renderTable4(computeTable4(options, &incidents), &incidents),
-      "table4_cpu_results");
-  const auto t5 = computeTable5(options, &incidents);
-  const auto t6 = computeTable6(options, &incidents);
-  add(renderTable5(t5, &incidents), "table5_gpu_results");
-  add(renderTable6(t6, &incidents), "table6_commscope_results");
-  add(buildTable7(t5, t6, &incidents), "table7_accelerator_ranges");
-  add(buildTable8(), "table8_cpu_software");
-  add(buildTable9(), "table9_gpu_software");
+  ReportRun run(options);
+  for (const Report& report : paperTables()) {
+    add(report.render(run).tables.front(), report.exportStem);
+  }
   add(renderBalance(computeBalance()), "machine_balance");
   // Resilience diagnostics ride along only when something actually
   // retried or failed — a fault-free export stays byte-identical.
-  const std::string diagnostics = renderDiagnostics(incidents);
+  const std::string diagnostics = renderDiagnostics(run.incidents());
   if (!diagnostics.empty()) {
     std::filesystem::create_directories(dir);
     const std::filesystem::path path = dir / "diagnostics.txt";

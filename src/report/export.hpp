@@ -15,9 +15,11 @@ struct ExportManifest {
   std::vector<std::filesystem::path> written;
 };
 
-/// Regenerates Tables 1-9 (plus the machine-balance table) and writes
-/// `<dir>/table<N>.{csv,md,json}`. Creates `dir` if needed.
-/// Throws nodebench::Error on I/O failure.
+/// Renders Tables 1-9 in one report run (report/reports.hpp), plus the
+/// machine-balance table, and writes `<dir>/<stem>.{csv,md,json}` under
+/// each report's export stem, and `diagnostics.txt` when a cell retried
+/// or failed. Creates `dir` if needed. Throws nodebench::Error on I/O
+/// failure.
 ExportManifest exportAllTables(const std::filesystem::path& dir,
                                const TableOptions& options);
 

@@ -10,7 +10,7 @@
 
 #include "campaign/journal.hpp"
 #include "core/error.hpp"
-#include "report/memlab_report.hpp"
+#include "report/reports.hpp"
 #include "serve/http.hpp"
 #include "serve/json_writer.hpp"
 #include "stats/store.hpp"
@@ -567,7 +567,8 @@ std::string Server::renderTables(const std::string& id,
     std::shared_ptr<const MemoEntry> entry;
   };
   // Tables first, then the memlab families, each rendered (and memoized)
-  // under its own label.
+  // under its own label. One run serves the whole request, so Table 7
+  // reuses the Table 5/6 rows this request already measured.
   std::vector<std::string> labels;
   for (const int table : req.tables) {
     labels.push_back(std::to_string(table));
@@ -575,6 +576,7 @@ std::string Server::renderTables(const std::string& id,
   for (const std::string& family : req.families) {
     labels.push_back(family);
   }
+  report::ReportRun run(opt);
   std::vector<Out> outs;
   for (const std::string& label : labels) {
     const std::string key = measKey + "#" + label;
@@ -588,56 +590,11 @@ std::string Server::renderTables(const std::string& id,
         continue;
       }
     }
+    report::RenderedReport rendered =
+        report::selectReports(label).front().render(run);
     auto fresh = std::make_shared<MemoEntry>();
-    if (label == "sweep") {
-      const auto rows = report::computeSweep(opt, &fresh->incidents);
-      fresh->ascii = report::renderSweep(rows, &fresh->incidents).renderAscii();
-      if (const std::string chart = report::renderSweepChart(rows);
-          !chart.empty()) {
-        fresh->ascii += "\n" + chart;
-      }
-    } else if (label == "chase") {
-      const auto rows = report::computeChase(opt, &fresh->incidents);
-      fresh->ascii =
-          report::renderChaseNs(rows, &fresh->incidents).renderAscii() + "\n" +
-          report::renderChaseClk(rows, &fresh->incidents).renderAscii();
-      if (const std::string chart = report::renderChaseChart(rows);
-          !chart.empty()) {
-        fresh->ascii += "\n" + chart;
-      }
-    } else {
-      switch (std::stoi(label)) {
-        case 4:
-          fresh->ascii = report::renderTable4(
-                             report::computeTable4(opt, &fresh->incidents),
-                             &fresh->incidents)
-                             .renderAscii();
-          break;
-        case 5:
-          fresh->ascii = report::renderTable5(
-                             report::computeTable5(opt, &fresh->incidents),
-                             &fresh->incidents)
-                             .renderAscii();
-          break;
-        case 6:
-          fresh->ascii = report::renderTable6(
-                             report::computeTable6(opt, &fresh->incidents),
-                             &fresh->incidents)
-                             .renderAscii();
-          break;
-        case 7: {
-          // Table 7 is a digest of 5 and 6; within one request the shared
-          // journal replays any cells tables 5/6 already measured.
-          const auto t5 = report::computeTable5(opt, &fresh->incidents);
-          const auto t6 = report::computeTable6(opt, &fresh->incidents);
-          fresh->ascii =
-              report::buildTable7(t5, t6, &fresh->incidents).renderAscii();
-          break;
-        }
-        default:
-          throw Error("unsupported table " + label);
-      }
-    }
+    fresh->ascii = rendered.ascii();
+    fresh->incidents = std::move(rendered.incidents);
     if (!req.storeSamples) {
       // Sound because results are deterministic functions of the
       // measurement key; store-sample runs skip the cache so every such
@@ -668,8 +625,9 @@ std::string Server::renderTables(const std::string& id,
     w.key(o.label).value(o.entry->ascii);
   }
   w.endObject();
-  // One deduplicated incident list: a cell replayed for Table 7 after
-  // Table 5 measured it restores the same incident slot; report it once.
+  // One deduplicated incident list: Table 7's memo entry carries the
+  // Table 5/6 incidents it digests, so a request for 5, 6 and 7 names
+  // each of those cells twice; report it once.
   w.key("incidents").beginArray();
   std::set<std::string> seen;
   for (const Out& o : outs) {

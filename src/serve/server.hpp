@@ -9,8 +9,9 @@
 ///                                     respond; a wait=true POST blocks
 ///                                     its I/O thread until the result)
 ///   admission queue (bounded, per-tenant quotas, see queue.hpp)
-///   executor threads ──> campaign harness (report::computeTable*)
-///                        with a per-request journal + optional store
+///   executor threads ──> report registry (report/reports.hpp), one
+///                        run per request, with a per-request journal +
+///                        optional store
 ///   watchdog thread ──> cancels requests past their wall-clock budget
 ///
 /// Robustness contract:

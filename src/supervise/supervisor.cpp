@@ -25,6 +25,7 @@
 #include "core/deadline.hpp"
 #include "core/error.hpp"
 #include "faults/fault_plan.hpp"
+#include "report/reports.hpp"
 #include "report/tables.hpp"
 #include "stats/merge.hpp"
 #include "supervise/heartbeat.hpp"
@@ -139,6 +140,9 @@ SuperviseResult runSupervise(const SuperviseOptions& options) {
   if (options.table.empty()) {
     throw Error("supervise requires a table selector");
   }
+  // Resolved before the supervisor journal exists or any worker forks:
+  // a bad selector would otherwise burn every attempt of every shard.
+  (void)report::selectReports(options.table);
   if (options.shards == 0) {
     throw Error("supervise requires --shards N (the shard count)");
   }

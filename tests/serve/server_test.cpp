@@ -21,6 +21,15 @@
 #include <string>
 #include <thread>
 
+#include "core/json_value.hpp"
+
+#ifndef NODEBENCH_CLI_GOLDEN_DIR
+#error "build system must define NODEBENCH_CLI_GOLDEN_DIR"
+#endif
+#ifndef NODEBENCH_EXAMPLES_DIR
+#error "build system must define NODEBENCH_EXAMPLES_DIR"
+#endif
+
 namespace nodebench::serve {
 namespace {
 
@@ -110,6 +119,18 @@ Response post(const std::string& socketPath, const std::string& body) {
 
 Response get(const std::string& socketPath, const std::string& target) {
   return roundTrip(socketPath, "GET " + target + " HTTP/1.1\r\n\r\n");
+}
+
+std::string readFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "cannot read " << path;
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// A golden file shared with the CLI suite (tests/conformance/golden).
+std::string cliGolden(const std::string& name) {
+  return readFile(std::string(NODEBENCH_CLI_GOLDEN_DIR) + "/" + name);
 }
 
 class ServeServerTest : public ::testing::Test {
@@ -399,6 +420,51 @@ TEST_F(ServeServerTest, DrainThenResumeProducesByteIdenticalResult) {
   ASSERT_FALSE(resumed.empty());
   EXPECT_EQ(resumed, fresh)
       << "resumed result must be byte-identical to an uninterrupted run";
+}
+
+TEST_F(ServeServerTest, TablesAndFamiliesMatchTheCliGoldens) {
+  // Every table and family serve renders, at the CLI golden's 5 runs:
+  // each label's text plus the newline the CLI prints after it is
+  // exactly `nodebench table <label> --runs 5 --jobs 1`.
+  Server server(baseOptions("h"));
+  server.start();
+  const Response resp =
+      post(scratch("h.sock"),
+           R"({"tables":[4,5,6,7],"families":["sweep","chase"],"runs":5})");
+  ASSERT_EQ(resp.status, 200) << resp.body;
+  const JsonValue doc = JsonValue::parse(resp.body);
+  const JsonValue* tables = doc.find("tables");
+  ASSERT_NE(tables, nullptr) << resp.body;
+  EXPECT_EQ(tables->asObject().size(), 6u);
+  for (const std::string label : {"4", "5", "6", "7", "sweep", "chase"}) {
+    const JsonValue* text = tables->find(label);
+    ASSERT_NE(text, nullptr) << "no table " << label << " in the reply";
+    EXPECT_EQ(text->asString() + "\n", cliGolden("table_" + label + ".txt"))
+        << "label " << label;
+  }
+  EXPECT_EQ(doc.find("incidents")->asArray().size(), 0u);
+  server.requestDrain();
+  server.waitUntilStopped();
+}
+
+TEST_F(ServeServerTest, FaultedRequestRepliesWithPinnedTablesAndIncidents) {
+  // Tables 5-7 under the demo fault plan: the Perlmutter H<->D cells
+  // fail, Table 7 digests the same cells, and the reply lists each
+  // incident once. Everything from "tables" on is pinned byte for byte.
+  Server server(baseOptions("i"));
+  server.start();
+  const std::string plan =
+      readFile(std::string(NODEBENCH_EXAMPLES_DIR) + "/fault_plan_demo.json");
+  const Response resp =
+      post(scratch("i.sock"),
+           R"({"tables":[5,6,7],"runs":5,"fault_plan":)" + plan + "}");
+  ASSERT_EQ(resp.status, 200) << resp.body;
+  const std::size_t pos = resp.body.find("\"tables\"");
+  ASSERT_NE(pos, std::string::npos) << resp.body;
+  EXPECT_EQ(resp.body.substr(pos),
+            cliGolden("serve_faulted_tables_5_6_7.json"));
+  server.requestDrain();
+  server.waitUntilStopped();
 }
 
 TEST_F(ServeServerTest, DebugHooksAreGatedByServerOption) {

@@ -8,7 +8,8 @@
 #                  crash    deterministic --crash-after-cell loop
 #                  sigkill  SIGKILL mid-campaign, then resume
 #                  sigterm  graceful interrupt (exit 43), then resume
-#                  serve    daemon SIGKILL + --resume recovery
+#                  serve    SIGTERM right after start (x50), then
+#                           daemon SIGKILL + --resume recovery
 #                  shard    sharded worker SIGKILL, resume, merge
 #                  memlab   sweep/chase SIGKILL mid-grid, then resume
 #                Default (no flag): every section. The baseline run is
@@ -29,9 +30,11 @@
 # Then the graceful-interrupt contract: SIGTERM to a journaled run must
 # finish the in-flight cell, fsync, and exit 43, with --resume completing
 # the campaign byte-identically.
-# Finally the daemon: `nodebench serve` is SIGKILLed mid-request and
-# restarted with --resume; the recovered request's persisted result must
-# be byte-identical to the same request measured in a fresh state dir.
+# Finally the daemon: a SIGTERM that lands as soon as its socket exists
+# must drain it (exit 0), 50 times over; then `nodebench serve` is
+# SIGKILLed mid-request and restarted with --resume, and the recovered
+# request's persisted result must be byte-identical to the same request
+# measured in a fresh state dir.
 set -euo pipefail
 
 sections=()
@@ -206,6 +209,31 @@ if want sigterm; then
 fi
 
 if want serve; then
+  echo
+  echo "== serve: SIGTERM as soon as the socket exists, 50 times =="
+  # The daemon is reachable once its socket is bound; a SIGTERM from then
+  # on must drain it. One that beat the drain handlers used to kill it
+  # (exit -15) in about 8 of 100 starts.
+  race_sock="${workdir}/race.sock"
+  for i in $(seq 1 50); do
+    rm -rf "${race_sock}" "${workdir}/race_state"
+    "${nodebench}" serve --socket "${race_sock}" \
+      --state-dir "${workdir}/race_state" > "${workdir}/race.log" 2>&1 &
+    daemon=$!
+    while [[ ! -S "${race_sock}" ]] && kill -0 "${daemon}" 2>/dev/null; do
+      :
+    done
+    kill -TERM "${daemon}" 2>/dev/null || true
+    rc=0
+    wait "${daemon}" || rc=$?
+    if (( rc != 0 )); then
+      echo "error: start ${i}: SIGTERM after bind exited ${rc} (wanted 0)" >&2
+      cat "${workdir}/race.log" >&2
+      exit 1
+    fi
+  done
+  echo "   50 daemons drained cleanly"
+
   echo
   echo "== serve: SIGKILL the daemon mid-request, restart --resume =="
   if ! curl --help all 2>/dev/null | grep -q unix-socket; then

@@ -5,8 +5,8 @@
 #
 #   tools/run_perf_stat.sh [build-dir] [benchmark-filter]
 #
-# Runs `perf stat` over the table benches and the simcore
-# google-benchmark suite. Arguments default to `build` and a filter
+# Runs `perf stat` over `nodebench table 4|5|7 --runs 100` and the
+# simcore google-benchmark suite. Arguments default to `build` and a filter
 # matching the scheduler/ping-pong/truth benchmarks.
 #
 # Degrades gracefully: if `perf` is unavailable (not installed, or the
@@ -55,11 +55,12 @@ run_profiled() {
 run_profiled "simcore microbenchmarks (${filter})" \
   "${gbench}" --benchmark_filter="${filter}"
 
-for bench in bench_table4_cpu bench_table5_gpu bench_table7_summary; do
-  bin="${build_dir}/bench/${bench}"
-  if [[ -x "${bin}" ]]; then
-    run_profiled "${bench}" "${bin}"
-  else
-    echo "note: skipping ${bench} (not built)" >&2
-  fi
-done
+nodebench="${build_dir}/src/cli/nodebench"
+if [[ -x "${nodebench}" ]]; then
+  for table in 4 5 7; do
+    run_profiled "nodebench table ${table} --runs 100" \
+      "${nodebench}" table "${table}" --runs 100
+  done
+else
+  echo "note: skipping the table runs (${nodebench} not built)" >&2
+fi
