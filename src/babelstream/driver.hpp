@@ -44,8 +44,8 @@ struct RunResult {
 /// computed (across binaries, not within).
 [[nodiscard]] RunResult run(Backend& backend, const DriverConfig& config);
 
-/// Ablation helper: bandwidth of one op across a size sweep
-/// (16 KiB .. arrayBytes by powers of two), one Summary per size.
+/// Bandwidth of one op across a size sweep (16 KiB .. arrayBytes by
+/// powers of two), one Summary per size.
 [[nodiscard]] std::vector<OpResult> sizeSweep(Backend& backend, StreamOp op,
                                               const DriverConfig& config);
 

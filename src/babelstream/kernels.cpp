@@ -28,15 +28,14 @@ double countedFactor(StreamOp op) {
   throw InvariantError("unhandled StreamOp");
 }
 
-double actualFactor(StreamOp op, bool writeAllocate) {
-  const double extra = writeAllocate ? 1.0 : 0.0;  // one fill per store
+double actualFactor(StreamOp op) {
   switch (op) {
     case StreamOp::Copy:
     case StreamOp::Mul:
-      return 2.0 + extra;
+      return 3.0;  // 2 + one fill for the store
     case StreamOp::Add:
     case StreamOp::Triad:
-      return 3.0 + extra;
+      return 4.0;  // 3 + one fill for the store
     case StreamOp::Dot:
       return 2.0;  // read-only
   }

@@ -33,9 +33,10 @@ inline constexpr std::array<StreamOp, 5> kAllOps{
 /// Counted array-traversals (BabelStream numerator / arrayBytes).
 [[nodiscard]] double countedFactor(StreamOp op);
 
-/// Actual array-traversals including write-allocate fills for stores.
-/// With non-temporal stores (or on device HBM) actual == counted.
-[[nodiscard]] double actualFactor(StreamOp op, bool writeAllocate);
+/// Actual array-traversals on a host CPU: the counted ones plus one
+/// write-allocate fill per store (BabelStream 4.0's OpenMP kernels use
+/// plain stores). Device HBM pays no fill, so devices use countedFactor.
+[[nodiscard]] double actualFactor(StreamOp op);
 
 /// Number of distinct arrays the kernel touches (its working set).
 [[nodiscard]] int arraysTouched(StreamOp op);

@@ -14,9 +14,8 @@ std::string SimOmpBackend::name() const {
 
 Duration SimOmpBackend::iterationTime(StreamOp op, ByteCount arrayBytes) {
   NB_EXPECTS(arrayBytes.count() > 0);
-  const bool wa = model_.writeAllocate();
   const auto actual = ByteCount::bytes(static_cast<std::uint64_t>(
-      actualFactor(op, wa) * arrayBytes.asDouble()));
+      actualFactor(op) * arrayBytes.asDouble()));
   const auto workingSet = ByteCount::bytes(
       static_cast<std::uint64_t>(arraysTouched(op)) * arrayBytes.count());
   return model_.transferTime(actual, workingSet, placement_);

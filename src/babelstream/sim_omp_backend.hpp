@@ -27,11 +27,6 @@ class SimOmpBackend final : public Backend {
     return placement_;
   }
 
-  /// Flat-MCDRAM what-if for the KNL ablation (forwards to the model).
-  void setCacheModeOverride(double factor) {
-    model_.setCacheModeOverride(factor);
-  }
-
  private:
   memsim::HostMemoryModel model_;
   ompenv::OmpConfig config_;

@@ -233,6 +233,37 @@ std::optional<int> nonNegativeFlagValue(std::vector<std::string>& args,
   return value;
 }
 
+/// Validated "--flag B" with B a byte count: any non-negative integer
+/// that fits in 64 bits. stoull alone would take "-1" as 2^64-1 and skip
+/// leading blanks, so the value must start with a digit; same error
+/// discipline as positiveFlagValue.
+std::optional<std::uint64_t> byteCountFlagValue(
+    std::vector<std::string>& args, const std::string& flag) {
+  const auto raw = flagValue(args, flag);
+  if (!raw) {
+    if (std::find(args.begin(), args.end(), flag) != args.end()) {
+      throw Error(flag + " expects a value");
+    }
+    return std::nullopt;
+  }
+  const Error refusal(flag + " expects a non-negative integer, got '" +
+                      *raw + "'");
+  if (raw->empty() || raw->front() < '0' || raw->front() > '9') {
+    throw refusal;
+  }
+  std::size_t used = 0;
+  std::uint64_t value = 0;
+  try {
+    value = std::stoull(*raw, &used);
+  } catch (const std::exception&) {
+    throw refusal;
+  }
+  if (used != raw->size()) {
+    throw refusal;
+  }
+  return value;
+}
+
 /// Validated "--flag X" with X a positive finite number ("2.5", "0.01");
 /// same error discipline as positiveFlagValue.
 std::optional<double> positiveDoubleFlagValue(std::vector<std::string>& args,
@@ -276,6 +307,27 @@ void rejectLeftoverFlags(const std::vector<std::string>& args) {
     if (arg.rfind("--", 0) == 0) {
       throw Error("unknown or duplicate flag: " + arg);
     }
+  }
+}
+
+/// For the inspection commands, whose positional arguments are exactly
+/// `positionals` machine names; called after all flag parsing. Rejects
+/// leftover flags, a missing machine name (the flag parsers may have
+/// consumed everything, as in "latency --size 8"), and any positional
+/// argument past the first `positionals`.
+void rejectLeftoverArgs(const std::string& command,
+                        const std::vector<std::string>& args,
+                        std::size_t positionals) {
+  rejectLeftoverFlags(args);
+  if (args.size() < positionals) {
+    throw Error(command + ": expected " +
+                (positionals == 1 ? std::string("a machine name")
+                                  : std::to_string(positionals) +
+                                        " machine names"));
+  }
+  if (args.size() > positionals) {
+    throw Error(command + ": unexpected argument '" + args[positionals] +
+                "'");
   }
 }
 
@@ -463,7 +515,8 @@ void finishTrace(const TraceRequest& req) {
   }
 }
 
-int cmdList() {
+int cmdList(const std::vector<std::string>& args) {
+  rejectLeftoverArgs("list", args, 0);
   std::cout << report::buildTable2().renderAscii() << '\n'
             << report::buildTable3().renderAscii();
   return 0;
@@ -474,6 +527,7 @@ int cmdTopo(std::vector<std::string> args) {
     return usage();
   }
   const bool dot = flagPresent(args, "--dot");
+  rejectLeftoverArgs("topo", args, 1);
   const machines::Machine& m = machines::byName(args[0]);
   if (dot) {
     std::cout << topo::toDot(m.topology, m.info.name);
@@ -583,17 +637,21 @@ int cmdStream(std::vector<std::string> args) {
   if (args.empty()) {
     return usage();
   }
+  const std::optional<int> device = nonNegativeFlagValue(args, "--device");
+  rejectLeftoverArgs("stream", args, 1);
   const machines::Machine& m = machines::byName(args[0]);
+  const int devices = m.topology.gpuCount();
+  if (device && *device >= devices) {
+    throw Error("--device " + std::to_string(*device) +
+                " is out of range: " + m.info.name + " has " +
+                std::to_string(devices) + " devices");
+  }
   babelstream::DriverConfig cfg;
   {
     const trace::Scope traceScope(m.info.name + "/babelstream");
     if (m.accelerated()) {
-      int device = 0;
-      if (const auto d = flagValue(args, "--device")) {
-        device = std::stoi(*d);
-      }
       cfg.arrayBytes = ByteCount::gib(1);
-      babelstream::SimDeviceBackend backend(m, device);
+      babelstream::SimDeviceBackend backend(m, device.value_or(0));
       std::cout << "BabelStream (device backend) on " << m.info.name << ":\n";
       printStream(babelstream::run(backend, cfg));
     } else {
@@ -614,15 +672,16 @@ int cmdLatency(std::vector<std::string> args) {
   if (args.empty()) {
     return usage();
   }
-  const machines::Machine& m = machines::byName(args[0]);
   std::string pair = "on-socket";
   if (const auto p = flagValue(args, "--pair")) {
     pair = *p;
   }
   osu::LatencyConfig cfg;
-  if (const auto s = flagValue(args, "--size")) {
-    cfg.messageSize = ByteCount::bytes(std::stoull(*s));
+  if (const auto s = byteCountFlagValue(args, "--size")) {
+    cfg.messageSize = ByteCount::bytes(*s);
   }
+  rejectLeftoverArgs("latency", args, 1);
+  const machines::Machine& m = machines::byName(args[0]);
 
   std::optional<osu::PlacementPair> ranks;
   auto kind = mpisim::BufferSpace::Kind::Host;
@@ -631,7 +690,12 @@ int cmdLatency(std::vector<std::string> args) {
   } else if (pair == "on-node") {
     ranks = osu::onNodePair(m);
   } else if (pair.size() == 1 && pair[0] >= 'A' && pair[0] <= 'D') {
-    ranks = osu::devicePair(m, static_cast<topo::LinkClass>(pair[0] - 'A'));
+    const auto linkClass = static_cast<topo::LinkClass>(pair[0] - 'A');
+    if (!m.topology.representativePair(linkClass)) {
+      throw Error("--pair " + pair + ": " + m.info.name +
+                  " has no GPU pair of link class " + pair);
+    }
+    ranks = osu::devicePair(m, linkClass);
     kind = mpisim::BufferSpace::Kind::Device;
   } else {
     throw Error("unknown --pair value: " + pair);
@@ -655,7 +719,12 @@ int cmdCommScope(std::vector<std::string> args) {
   if (args.empty()) {
     return usage();
   }
+  rejectLeftoverArgs("commscope", args, 1);
   const machines::Machine& m = machines::byName(args[0]);
+  if (!m.accelerated()) {
+    throw Error("commscope needs an accelerator machine: " + m.info.name +
+                " has 0 devices");
+  }
   {
     const trace::Scope traceScope(m.info.name + "/commscope");
     commscope::CommScope scope(m);
@@ -683,6 +752,7 @@ int cmdDiff(std::vector<std::string> args) {
   if (args.size() < 2) {
     return usage();
   }
+  rejectLeftoverArgs("diff", args, 2);
   const machines::Machine& a = machines::byName(args[0]);
   const machines::Machine& b = machines::byName(args[1]);
 
@@ -751,12 +821,14 @@ int cmdCard(std::vector<std::string> args) {
   if (args.empty()) {
     return usage();
   }
+  rejectLeftoverArgs("card", args, 1);
   const machines::Machine& m = machines::byName(args[0]);
   std::cout << (json ? machines::machineJson(m) : machines::machineCard(m));
   return 0;
 }
 
-int cmdBalance() {
+int cmdBalance(const std::vector<std::string>& args) {
+  rejectLeftoverArgs("balance", args, 0);
   std::cout << report::renderBalance(report::computeBalance()).renderAscii();
   return 0;
 }
@@ -806,9 +878,6 @@ int cmdExport(std::vector<std::string> args) {
 /// retransmit count the transport recovery performed.
 int cmdFaults(std::vector<std::string> args) {
   const TraceRequest tr = traceRequest(args);
-  if (args.empty()) {
-    return usage();
-  }
   report::TableOptions opt;
   opt.binaryRuns = 25;  // demo default; --runs restores full methodology
   if (const auto runs = positiveFlagValue(args, "--runs")) {
@@ -816,6 +885,9 @@ int cmdFaults(std::vector<std::string> args) {
   }
   if (const auto jobs = positiveFlagValue(args, "--jobs")) {
     opt.jobs = *jobs;
+  }
+  if (args.empty()) {
+    return usage();
   }
   const faults::FaultPlan plan = faults::FaultPlan::load(args[0]);
   opt.faults = &plan;
@@ -1489,11 +1561,9 @@ int cmdServe(std::vector<std::string> args) {
 }
 
 int cmdNative(std::vector<std::string> args) {
-  int threads = 0;
-  if (const auto t = flagValue(args, "--threads")) {
-    threads = std::stoi(*t);
-  }
-  native::NativeStreamBackend backend(threads);
+  const std::optional<int> threads = positiveFlagValue(args, "--threads");
+  rejectLeftoverArgs("native", args, 0);
+  native::NativeStreamBackend backend(threads.value_or(0));
   babelstream::DriverConfig cfg;
   cfg.arrayBytes = ByteCount::mib(64);
   cfg.binaryRuns = 5;  // real runs are slow; this is a demo measurement
@@ -1519,7 +1589,7 @@ int main(int argc, char** argv) {
     const std::string cmd = argv[1];
     std::vector<std::string> args(argv + 2, argv + argc);
     if (cmd == "list") {
-      return cmdList();
+      return cmdList(args);
     }
     if (cmd == "topo") {
       return cmdTopo(std::move(args));
@@ -1549,7 +1619,7 @@ int main(int argc, char** argv) {
       return cmdDiff(std::move(args));
     }
     if (cmd == "balance") {
-      return cmdBalance();
+      return cmdBalance(args);
     }
     if (cmd == "export") {
       return cmdExport(std::move(args));

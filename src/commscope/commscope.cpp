@@ -118,66 +118,6 @@ Summary CommScope::d2dBandwidthGBps(LinkClass linkClass,
                    kD2dBandwidthSampleChannel);
 }
 
-Duration CommScope::truthUmPrefetchTime(ByteCount bytes) {
-  runtime_.reset();
-  auto managed = runtime_.allocManaged(bytes);
-  const StreamId stream = runtime_.defaultStream(0);
-  const Duration start = runtime_.hostNow();
-  runtime_.prefetchAsync(stream, managed, /*device=*/0);
-  runtime_.streamSynchronize(stream);
-  return runtime_.hostNow() - start;
-}
-
-Duration CommScope::truthUmDemandTime(ByteCount bytes) {
-  runtime_.reset();
-  auto managed = runtime_.allocManaged(bytes);
-  const Duration start = runtime_.hostNow();
-  (void)runtime_.touchManaged(managed, /*device=*/0);
-  return runtime_.hostNow() - start;
-}
-
-Summary CommScope::umPrefetchBandwidthGBps(const Config& config) {
-  const Duration t = truthUmPrefetchTime(config.bandwidthProbe);
-  return aggregate(config.bandwidthProbe.asDouble() / t.ns(),
-                   runtime_.machine().device->cvXferBw, config, 0x88,
-                   kUmPrefetchSampleChannel);
-}
-
-Summary CommScope::umDemandBandwidthGBps(const Config& config) {
-  const Duration t = truthUmDemandTime(config.bandwidthProbe);
-  return aggregate(config.bandwidthProbe.asDouble() / t.ns(),
-                   runtime_.machine().device->cvXferLat, config, 0x99,
-                   kUmDemandSampleChannel);
-}
-
-Duration CommScope::truthD2dDuplexTime(LinkClass linkClass,
-                                       ByteCount bytesPerDirection) {
-  const auto pair = runtime_.machine().topology.representativePair(linkClass);
-  NB_EXPECTS_MSG(pair.has_value(), "machine lacks the requested link class");
-  const Buffer a = runtime_.allocDevice(pair->first.value, bytesPerDirection);
-  const Buffer b = runtime_.allocDevice(pair->second.value,
-                                        bytesPerDirection);
-  const StreamId sa = runtime_.defaultStream(pair->first.value);
-  const StreamId sb = runtime_.defaultStream(pair->second.value);
-
-  runtime_.reset();
-  const Duration start = runtime_.hostNow();
-  runtime_.memcpyAsync(sa, b, a, bytesPerDirection);  // a -> b
-  runtime_.memcpyAsync(sb, a, b, bytesPerDirection);  // b -> a, concurrent
-  runtime_.streamSynchronize(sa);
-  runtime_.streamSynchronize(sb);
-  return runtime_.hostNow() - start;
-}
-
-Summary CommScope::d2dDuplexBandwidthGBps(LinkClass linkClass,
-                                          const Config& config) {
-  const Duration t = truthD2dDuplexTime(linkClass, config.bandwidthProbe);
-  const double gbps = 2.0 * config.bandwidthProbe.asDouble() / t.ns();
-  return aggregate(gbps, runtime_.machine().device->cvXferBw, config,
-                   0x77 + static_cast<std::uint64_t>(linkClass),
-                   kD2dDuplexSampleChannel);
-}
-
 MachineResults CommScope::measureAll(const Config& config) {
   MachineResults out;
   out.launchUs = kernelLaunchUs(config);

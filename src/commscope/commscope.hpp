@@ -37,12 +37,6 @@ inline constexpr const char* kD2dLatencySampleChannel =
     "commscope.d2d_latency_us";
 inline constexpr const char* kD2dBandwidthSampleChannel =
     "commscope.d2d_bandwidth_gbps";
-inline constexpr const char* kD2dDuplexSampleChannel =
-    "commscope.d2d_duplex_gbps";
-inline constexpr const char* kUmPrefetchSampleChannel =
-    "commscope.um_prefetch_gbps";
-inline constexpr const char* kUmDemandSampleChannel =
-    "commscope.um_demand_gbps";
 
 struct Config {
   ByteCount latencyProbe = ByteCount::bytes(128);
@@ -66,7 +60,7 @@ class CommScope {
   /// Precondition: accelerator machine. The machine must outlive this.
   explicit CommScope(const machines::Machine& machine);
 
-  // -- noiseless single measurements (exposed for tests/ablations) --------
+  // -- noiseless single measurements (exposed for tests) ----------------
   [[nodiscard]] Duration truthKernelLaunch();
   [[nodiscard]] Duration truthSyncWait();
   /// (H->D + D->H)/2 completion time for `bytes`.
@@ -84,24 +78,6 @@ class CommScope {
                                      const Config& config);
   [[nodiscard]] Summary d2dBandwidthGBps(topo::LinkClass linkClass,
                                          const Config& config);
-
-  /// Unified-memory extension (Comm|Scope's Comm_UM_* family): explicit
-  /// prefetch bandwidth of a 1 GiB managed buffer host->device, and the
-  /// demand-paging "coherence" bandwidth when the device touches
-  /// host-resident pages (per-fault service latency dominates).
-  [[nodiscard]] Duration truthUmPrefetchTime(ByteCount bytes);
-  [[nodiscard]] Duration truthUmDemandTime(ByteCount bytes);
-  [[nodiscard]] Summary umPrefetchBandwidthGBps(const Config& config);
-  [[nodiscard]] Summary umDemandBandwidthGBps(const Config& config);
-
-  /// Duplex extension (Comm|Scope's *_Duplex tests): both directions of
-  /// the pair stream concurrently on their own devices' streams; reports
-  /// aggregate bandwidth. On full-duplex fabrics this approaches twice
-  /// the unidirectional figure.
-  [[nodiscard]] Duration truthD2dDuplexTime(topo::LinkClass linkClass,
-                                            ByteCount bytesPerDirection);
-  [[nodiscard]] Summary d2dDuplexBandwidthGBps(topo::LinkClass linkClass,
-                                               const Config& config);
 
   /// Runs everything Table 6 needs for this machine.
   [[nodiscard]] MachineResults measureAll(const Config& config);

@@ -1,7 +1,5 @@
 #include "gpusim/gpu_runtime.hpp"
 
-#include <algorithm>
-
 namespace nodebench::gpusim {
 
 using topo::GpuId;
@@ -169,79 +167,6 @@ void GpuRuntime::deviceSynchronize(int device) {
                                    trace::ActorKind::Device, device, -1,
                                    begin, hostClock_ - begin, 0});
   }
-}
-
-const topo::Link& GpuRuntime::hostLinkOf(int device) const {
-  NB_EXPECTS(device >= 0 && device < deviceCount());
-  const GpuId g{device};
-  return machine_->topology.hostGpuLink(machine_->topology.gpu(g).socket, g);
-}
-
-ManagedBuffer GpuRuntime::allocManaged(ByteCount size) {
-  NB_EXPECTS(size.count() > 0);
-  managedResidency_.push_back(-1);  // first-touch on the host
-  ManagedBuffer m;
-  m.buffer = Buffer{Buffer::Space::Managed, -1, size};
-  m.id = static_cast<int>(managedResidency_.size()) - 1;
-  return m;
-}
-
-int GpuRuntime::managedResidency(const ManagedBuffer& m) const {
-  NB_EXPECTS(m.id >= 0 &&
-             static_cast<std::size_t>(m.id) < managedResidency_.size());
-  return managedResidency_[m.id];
-}
-
-void GpuRuntime::prefetchAsync(StreamId stream, ManagedBuffer& m,
-                               int device) {
-  NB_EXPECTS(device >= -1 && device < deviceCount());
-  const int from = managedResidency(m);
-  hostClock_ += machine_->device->memcpyCallOverhead;
-  if (from == device) {
-    return;  // already resident: the call overhead is the whole cost
-  }
-  // Migration rides the host link of whichever side is the device (for
-  // device<->device prefetch, bottleneck over both hops).
-  const machines::DeviceParams& d = *machine_->device;
-  Duration occupancy = d.h2dDmaSetup;
-  const auto addHop = [&](int dev) {
-    const topo::Link& link = hostLinkOf(dev);
-    occupancy += link.latency +
-                 link.bandwidth.transferTime(m.buffer.size) /
-                     machine_->device->umPrefetchEfficiency;
-  };
-  if (from >= 0) {
-    addHop(from);
-  }
-  if (device >= 0) {
-    addHop(device);
-  }
-  enqueue(stream, occupancy);
-  managedResidency_[m.id] = device;
-}
-
-Duration GpuRuntime::touchManaged(ManagedBuffer& m, int device) {
-  NB_EXPECTS(device >= -1 && device < deviceCount());
-  const int from = managedResidency(m);
-  if (from == device) {
-    return Duration::zero();
-  }
-  const machines::DeviceParams& d = *machine_->device;
-  const std::uint64_t pages =
-      (m.buffer.size.count() + d.umPageSize.count() - 1) /
-      d.umPageSize.count();
-  // Each fault pays the service latency plus one page over the slower of
-  // the links involved in the migration.
-  const topo::Link& link = hostLinkOf(device >= 0 ? device : from);
-  const Duration perPage =
-      d.umFaultLatency + link.latency +
-      link.bandwidth.transferTime(
-          ByteCount::bytes(std::min(d.umPageSize.count(),
-                                    m.buffer.size.count())));
-  const Duration storm = perPage * static_cast<double>(pages);
-  hostClock_ += storm;
-  managedResidency_[m.id] = device;
-  return storm;
 }
 
 EventId GpuRuntime::recordEvent(StreamId stream) {

@@ -30,17 +30,10 @@ namespace nodebench::gpusim {
 
 /// A tracked allocation. Obtained from GpuRuntime::alloc*.
 struct Buffer {
-  enum class Space { HostPinned, Device, Managed };
+  enum class Space { HostPinned, Device };
   Space space = Space::HostPinned;
   int device = -1;  ///< Valid when space == Device.
   ByteCount size;
-};
-
-/// Residency of a managed (unified-memory) buffer: -1 = host, otherwise
-/// the device index. Tracked by the runtime per managed allocation.
-struct ManagedBuffer {
-  Buffer buffer;
-  int id = -1;  ///< Runtime-internal residency slot.
 };
 
 /// Opaque stream handle.
@@ -98,26 +91,6 @@ class GpuRuntime {
   /// Blocks until every stream of `device` drains, plus the wait cost.
   void deviceSynchronize(int device);
 
-  // --- unified (managed) memory -----------------------------------------
-
-  /// Allocates a managed buffer, initially resident on the host.
-  [[nodiscard]] ManagedBuffer allocManaged(ByteCount size);
-
-  /// Where the managed buffer's pages currently live (-1 = host).
-  [[nodiscard]] int managedResidency(const ManagedBuffer& m) const;
-
-  /// cudaMemPrefetchAsync analogue: migrates all pages to `device`
-  /// (or to the host when device == -1) over the host link at the
-  /// prefetch-engine rate, as a stream operation.
-  void prefetchAsync(StreamId stream, ManagedBuffer& m, int device);
-
-  /// Demand migration: touching non-resident pages from `device`
-  /// (-1 = host) faults them over one by one — per-page fault service
-  /// latency plus the page transfer. Advances the host clock by the full
-  /// fault storm (the toucher is stalled) and updates residency.
-  /// No-op (zero time) when already resident.
-  Duration touchManaged(ManagedBuffer& m, int device);
-
   /// Records an event on `stream`: the event completes when all work
   /// enqueued before it has drained (cudaEventRecord semantics). The call
   /// itself is free on the host clock (sub-overhead noise is ignored).
@@ -168,15 +141,10 @@ class GpuRuntime {
                                           const Buffer& src,
                                           ByteCount bytes) const;
 
-  /// Bandwidth and latency of the page-migration path between the host
-  /// and `device` (the device's host link).
-  [[nodiscard]] const topo::Link& hostLinkOf(int device) const;
-
   const machines::Machine* machine_;
   std::vector<Stream> streams_;
   std::vector<int> defaultStreams_;  ///< Per device; -1 until created.
   std::vector<Duration> events_;     ///< Completion time per recorded event.
-  std::vector<int> managedResidency_;  ///< Per managed buffer; -1 = host.
   Duration hostClock_ = Duration::zero();
   /// Trace buffer captured at construction (constructed on the tracing
   /// scope's thread); null when tracing is disabled. The device timeline

@@ -8,8 +8,10 @@
 ///   Theta    18.76+-0.58   119.72+-0.54   >450 [34] 5.95+-0.01  6.25+-0.05
 ///
 /// Both KNLs run in "quad cache" mode: MCDRAM as a memory-side cache whose
-/// management overhead we model as a 1.15x slowdown factor (the ablation
-/// bench `bench_ablation_knl_modes` removes it to emulate flat mode).
+/// management overhead we model as a 1.15x slowdown factor. Flat mode
+/// would remove it;
+/// `KnlFlatModeTest.DroppingTheCacheFactorStaysBelowMcdramPeak` pins what
+/// that leaves.
 /// Theta's anomalously low all-thread bandwidth — which the paper itself
 /// calls "suspiciously low" and cannot fully explain — is calibrated
 /// as-measured rather than explained away.

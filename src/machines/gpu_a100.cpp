@@ -19,8 +19,9 @@
 /// attributes it to system software (CUDA driver version). In our model
 /// that is precisely a difference in the solved d2dDmaSetup parameter —
 /// ~12.7 us on Perlmutter vs ~30.2 us on Polaris — with identical
-/// topological routes. The ablation bench `bench_ablation_d2d_mechanism`
-/// decomposes this.
+/// topological routes. The test
+/// `D2dMechanismTest.ClassALatencyIsCallDmaRouteAndSync` checks that
+/// decomposition on every GPU machine.
 ///
 /// Perlmutter note carried from the paper: only the majority 40 GB-HBM
 /// A100 nodes are modelled.

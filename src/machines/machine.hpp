@@ -52,8 +52,7 @@ struct HostMemoryParams {
   /// Rendering of the peak for the table ("281.50", "> 450 [34]").
   std::string peakNote;
   /// Multiplicative slowdown of managing the MCDRAM cache in "quad cache"
-  /// mode (1.0 on non-KNL machines; the ablation bench flips this off to
-  /// emulate flat mode).
+  /// mode (1.0 on non-KNL machines).
   double cacheModeOverhead = 1.0;
   /// Throughput factor when more than one SMT thread per core is used.
   double smtFactor = 1.0;
@@ -62,13 +61,10 @@ struct HostMemoryParams {
   double unboundFactor = 0.88;
   /// Same, for a single unpinned thread.
   double unboundSingleFactor = 0.96;
-  /// Whether streamed stores bypass write-allocate traffic. False on the
-  /// studied CPUs (BabelStream 4.0's OpenMP kernels use plain stores).
-  bool nonTemporalStores = false;
   /// Last-level cache per socket and the bandwidth boost factor applied
   /// when a kernel's working set fits in cache (drives the small-size end
-  /// of the BabelStream size-sweep ablation; irrelevant at the >= 128 MB
-  /// sizes used for Table 4).
+  /// of the BabelStream size sweep; irrelevant at the >= 128 MB sizes used
+  /// for Table 4).
   ByteCount llcPerSocket = ByteCount::mib(32);
   double cacheBandwidthBoost = 3.0;
   /// Measurement noise (sigma/mean) of single-thread / all-thread runs.
@@ -181,15 +177,6 @@ struct DeviceParams {
   /// machine-balance analysis (McCalpin's flops-vs-bandwidth motivation
   /// for STREAM, which the paper's related-work section recounts).
   double peakFp64Gflops = 0.0;
-  /// Unified/managed memory model (extension beyond the paper, matching
-  /// Comm|Scope's UM test family): demand-fault service granularity
-  /// (drivers service a storm in sub-page chunks) and the per-fault
-  /// service latency. Representative defaults; not calibrated against
-  /// the paper (which does not measure UM).
-  ByteCount umPageSize = ByteCount::kib(256);
-  Duration umFaultLatency = Duration::microseconds(25.0);
-  /// Prefetch engine efficiency relative to the pinned-copy link rate.
-  double umPrefetchEfficiency = 0.9;
   /// Measurement noise per reported quantity.
   double cvBw = 0.001;
   double cvLaunch = 0.004;

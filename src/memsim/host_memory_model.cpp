@@ -27,9 +27,7 @@ Bandwidth HostMemoryModel::achievableBandwidth(
                                        : p.unboundFactor;
   }
 
-  const double cacheMode =
-      cacheModeOverride_ >= 1.0 ? cacheModeOverride_ : p.cacheModeOverhead;
-  bw /= cacheMode;
+  bw /= p.cacheModeOverhead;
   const double plateau = bw;  ///< DRAM-saturated value, pre-knee.
 
   // Smooth cache knee: full boost deep inside the LLC, none far outside.

@@ -52,24 +52,11 @@ class HostMemoryModel {
                                       ByteCount workingSet,
                                       const ompenv::ThreadPlacement&) const;
 
-  /// Whether plain stores incur write-allocate traffic on this machine.
-  [[nodiscard]] bool writeAllocate() const {
-    return !machine_->hostMemory.nonTemporalStores;
-  }
-
   [[nodiscard]] const machines::Machine& machine() const { return *machine_; }
-
-  /// Override the MCDRAM cache-mode overhead (flat-mode what-if used by
-  /// the KNL ablation bench). 1.0 disables the overhead entirely.
-  void setCacheModeOverride(double factor) {
-    NB_EXPECTS(factor >= 1.0);
-    cacheModeOverride_ = factor;
-  }
 
  private:
   const machines::Machine* machine_;
   trace::TraceBuffer* traceSink_ = nullptr;  ///< Null = tracing disabled.
-  double cacheModeOverride_ = -1.0;  ///< <0 means "use machine value".
 };
 
 }  // namespace nodebench::memsim

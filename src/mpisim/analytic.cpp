@@ -207,64 +207,13 @@ Duration pingPongElapsed(const machines::Machine& machine,
   return w.t[0];  // rank A started at virtual time zero
 }
 
-Duration windowedStreamElapsed(const machines::Machine& machine,
-                               const RankPlacement& rankA,
-                               const RankPlacement& rankB,
-                               const BufferSpace& spaceA,
-                               const BufferSpace& spaceB,
-                               ByteCount messageSize, int windowSize,
-                               int iterations, bool bidirectional,
-                               const std::optional<InterNodeParams>& network) {
-  NB_EXPECTS(windowSize > 0 && iterations > 0);
-  NB_EXPECTS(messageSize.count() > 0);
-  const ByteCount ack = ByteCount::bytes(4);
-  TwoRank w = makeTwoRank(machine, rankA, rankB, spaceA, spaceB, network);
-  std::vector<Duration> readyA;
-  std::vector<Duration> readyB;
-  for (int it = 0; it < iterations; ++it) {
-    // Rank A posts its send window (irecv posts cost nothing).
-    readyA.clear();
-    for (int wi = 0; wi < windowSize; ++wi) {
-      readyA.push_back(w.postIsend(0, messageSize));
-    }
-    if (bidirectional) {
-      readyB.clear();
-      for (int wi = 0; wi < windowSize; ++wi) {
-        readyB.push_back(w.postIsend(1, messageSize));
-      }
-    }
-    // Rank B's waitAll: its request list holds the irecvs first, then (in
-    // bidirectional mode) its isends.
-    for (int wi = 0; wi < windowSize; ++wi) {
-      w.waitRecv(1);
-    }
-    if (bidirectional) {
-      for (const Duration ready : readyB) {
-        w.waitSend(1, ready);
-      }
-    }
-    const Pending ackMsg = w.postBlocking(1, ack);
-    // Rank A's waitAll: isends first, then the mirrored irecvs.
-    for (const Duration ready : readyA) {
-      w.waitSend(0, ready);
-    }
-    if (bidirectional) {
-      for (int wi = 0; wi < windowSize; ++wi) {
-        w.waitRecv(0);
-      }
-    }
-    w.completeBlocking(0, ackMsg, ack);
-  }
-  return w.t[0];  // rank A started at virtual time zero
-}
-
 InterNodePairElapsed interNodePairElapsed(const machines::Machine& machine,
                                           const InterNodeParams& network,
                                           bool deviceBuffers,
                                           ByteCount messageSize,
                                           int iterations) {
   NB_EXPECTS(iterations > 0);
-  // Mirrors makeTwoNodeWorld(m, /*pairs=*/1, ...): rank 0 on node 0 and
+  // Mirrors netsim's makeTwoNodeWorld: rank 0 on node 0 and
   // rank 1 on node 1, both on core 0 (and GPU 0 in device mode).
   RankPlacement rank0;
   RankPlacement rank1;

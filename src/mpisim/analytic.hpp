@@ -61,21 +61,9 @@ void setFastPathEnabled(bool on);
     const BufferSpace& spaceB, ByteCount messageSize, int iterations,
     const std::optional<InterNodeParams>& network = std::nullopt);
 
-/// Elapsed virtual time on rank A for the windowed-stream kernel
-/// (`osu_bw` / `osu_bibw` truth in `BandwidthBenchmark::truthGBps`):
-/// `iterations` windows of `windowSize` isends (mirrored when
-/// `bidirectional`), each closed by a 4-byte ack from rank B.
-[[nodiscard]] Duration windowedStreamElapsed(
-    const machines::Machine& machine, const RankPlacement& rankA,
-    const RankPlacement& rankB, const BufferSpace& spaceA,
-    const BufferSpace& spaceB, ByteCount messageSize, int windowSize,
-    int iterations, bool bidirectional,
-    const std::optional<InterNodeParams>& network = std::nullopt);
-
-/// Rank 0's measured elapsed times for the single-pair inter-node kernel
-/// in `netsim::measureInterNode` (barrier; latency ping-pong; barrier;
-/// windowed 64 KiB stream with 4-byte acks). Only valid for one pair —
-/// with more, NIC sharing couples the pairs and the event path must run.
+/// Rank 0's measured elapsed times for the inter-node kernel in
+/// `netsim::measureInterNode` (barrier; latency ping-pong; barrier;
+/// windowed 64 KiB stream with 4-byte acks).
 struct InterNodePairElapsed {
   Duration latencyElapsed;  ///< Phase-1 ping-pong elapsed on rank 0.
   Duration streamElapsed;   ///< Phase-2 windowed-stream elapsed on rank 0.

@@ -10,15 +10,6 @@ namespace nodebench::mpisim {
 namespace {
 
 constexpr int kBarrierTag = -4711;
-constexpr int kBcastTag = -4712;
-constexpr int kReduceTag = -4713;
-constexpr int kAllreduceTag = -4714;
-constexpr int kAllgatherTag = -4715;
-constexpr int kAlltoallTag = -4716;
-
-/// Combine rate of reduction arithmetic (bytes per nanosecond): reduction
-/// collectives pay size/this per combine step in addition to transfers.
-constexpr double kCombineBytesPerNs = 10.0;
 
 /// The receiver's buffer space mirrors the sender's kind: host pairs with
 /// host, device pairs with the peer rank's bound device. This matches
@@ -211,15 +202,6 @@ Duration& MpiWorld::channelFree(int src, int dst) {
 
 int Communicator::size() const { return world_->size(); }
 
-void Communicator::trace(TraceRecord::Kind kind, Duration begin, int peer,
-                         std::uint64_t bytes, int tag) {
-  if (world_->tracer_ == nullptr) {
-    return;
-  }
-  world_->tracer_->record(TraceRecord{rank_, kind, begin, now(), peer,
-                                      bytes, tag});
-}
-
 void Communicator::emitRankEvent(trace::Category category, Duration begin,
                                  int peer, std::uint64_t bytes) {
   trace::TraceBuffer* tb = world_->traceSink_;
@@ -261,7 +243,6 @@ void Communicator::send(int dest, int tag, ByteCount size,
         MpiWorld::Message{rank_, tag, MpiWorld::MsgKind::Eager, size,
                           start + transfer + path.latency, 0});
     proc_->wake(dest);
-    trace(TraceRecord::Kind::Send, traceBegin, dest, size.count(), tag);
     emitRankEvent(trace::Category::Send, traceBegin, dest, size.count());
     return;
   }
@@ -291,7 +272,6 @@ void Communicator::send(int dest, int tag, ByteCount size,
   w.mailboxes_[dest].messages.push_back(MpiWorld::Message{
       rank_, tag, MpiWorld::MsgKind::Data, size, now() + path.latency, rtsId});
   proc_->wake(dest);
-  trace(TraceRecord::Kind::Send, traceBegin, dest, size.count(), tag);
   emitRankEvent(trace::Category::Send, traceBegin, dest, size.count());
 }
 
@@ -319,7 +299,6 @@ void Communicator::recv(int source, int tag, ByteCount size,
   if (msg.kind == MpiWorld::MsgKind::Eager) {
     proc_->advanceTo(msg.arrival);
     proc_->advance(path.recvOverhead);
-    trace(TraceRecord::Kind::Recv, traceBegin, source, msg.size.count(), tag);
     emitRankEvent(trace::Category::Recv, traceBegin, source,
                   msg.size.count());
     return;
@@ -343,7 +322,6 @@ void Communicator::recv(int source, int tag, ByteCount size,
   NB_ENSURES_MSG(data.rtsId == msg.rtsId, "rendezvous data out of order");
   proc_->advanceTo(data.arrival);
   proc_->advance(path.recvOverhead);
-  trace(TraceRecord::Kind::Recv, traceBegin, source, msg.size.count(), tag);
   emitRankEvent(trace::Category::Recv, traceBegin, source, msg.size.count());
 }
 
@@ -392,7 +370,6 @@ Request Communicator::isend(int dest, int tag, ByteCount size,
       rank_, tag, MpiWorld::MsgKind::Eager, size, arrival, 0});
   proc_->wake(dest);
 
-  trace(TraceRecord::Kind::SendPost, traceBegin, dest, size.count(), tag);
   emitRankEvent(trace::Category::Send, traceBegin, dest, size.count());
   Request r(Request::Kind::Send, dest, tag, size, ready);
   r.space_ = space;
@@ -413,10 +390,7 @@ void Communicator::wait(Request& request) {
   NB_EXPECTS_MSG(request.valid(), "wait on an invalid/completed request");
   MpiWorld& w = *world_;
   if (request.kind_ == Request::Kind::Send) {
-    const Duration traceBegin = now();
     proc_->advanceTo(request.ready_);
-    trace(TraceRecord::Kind::WaitSend, traceBegin, request.peer_,
-          request.size_.count(), request.tag_);
     request.id_ = -1;
     return;
   }
@@ -436,8 +410,6 @@ void Communicator::wait(Request& request) {
                  "matched message exceeds receive buffer");
   proc_->advanceTo(msg.arrival);
   proc_->advance(path.recvOverhead);
-  trace(TraceRecord::Kind::WaitRecv, traceBegin, request.peer_,
-        msg.size.count(), request.tag_);
   emitRankEvent(trace::Category::Recv, traceBegin, request.peer_,
                 msg.size.count());
   request.id_ = -1;
@@ -469,105 +441,6 @@ void Communicator::barrier() {
   } else {
     send(0, kBarrierTag, none);
     recv(0, kBarrierTag, none);
-  }
-}
-
-void Communicator::bcast(int root, ByteCount size, BufferSpace space) {
-  const int n = this->size();
-  NB_EXPECTS(root >= 0 && root < n);
-  const int vrank = (rank_ - root + n) % n;
-  const auto real = [&](int vr) { return (vr + root) % n; };
-
-  // Binomial tree: receive from the parent (the set bit), then forward to
-  // children below it.
-  int mask = 1;
-  while (mask < n) {
-    if (vrank & mask) {
-      recv(real(vrank ^ mask), kBcastTag, size, space);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (vrank + mask < n) {
-      send(real(vrank + mask), kBcastTag, size, space);
-    }
-    mask >>= 1;
-  }
-}
-
-void Communicator::reduce(int root, ByteCount size, BufferSpace space) {
-  const int n = this->size();
-  NB_EXPECTS(root >= 0 && root < n);
-  const int vrank = (rank_ - root + n) % n;
-  const auto real = [&](int vr) { return (vr + root) % n; };
-  const Duration combine =
-      Duration::nanoseconds(size.asDouble() / kCombineBytesPerNs);
-
-  // Binomial tree, leaves inward (commutative reduction).
-  int mask = 1;
-  while (mask < n) {
-    if ((vrank & mask) == 0) {
-      const int child = vrank | mask;
-      if (child < n) {
-        recv(real(child), kReduceTag, size, space);
-        compute(combine);
-      }
-    } else {
-      send(real(vrank & ~mask), kReduceTag, size, space);
-      break;
-    }
-    mask <<= 1;
-  }
-}
-
-void Communicator::allreduce(ByteCount size, BufferSpace space) {
-  const int n = this->size();
-  const bool powerOfTwo = (n & (n - 1)) == 0;
-  if (!powerOfTwo) {
-    reduce(0, size, space);
-    bcast(0, size, space);
-    return;
-  }
-  const Duration combine =
-      Duration::nanoseconds(size.asDouble() / kCombineBytesPerNs);
-  // Recursive doubling: log2(n) pairwise exchanges with combines.
-  for (int mask = 1; mask < n; mask <<= 1) {
-    const int partner = rank_ ^ mask;
-    Request out = isend(partner, kAllreduceTag, size, space);
-    recv(partner, kAllreduceTag, size, space);
-    wait(out);
-    compute(combine);
-  }
-}
-
-void Communicator::allgather(ByteCount size, BufferSpace space) {
-  const int n = this->size();
-  const int next = (rank_ + 1) % n;
-  const int prev = (rank_ - 1 + n) % n;
-  // Ring: n-1 steps, each forwarding one block. Non-blocking sends keep
-  // the uniform ring direction deadlock-free for any message size.
-  for (int step = 0; step < n - 1; ++step) {
-    Request out = isend(next, kAllgatherTag, size, space);
-    recv(prev, kAllgatherTag, size, space);
-    wait(out);
-  }
-}
-
-void Communicator::alltoall(ByteCount sizePerRank, BufferSpace space) {
-  const int n = this->size();
-  // Pairwise exchange: at step i, swap blocks with rank^i (power-of-two
-  // worlds) or with the (rank +/- i) pair otherwise.
-  const bool powerOfTwo = (n & (n - 1)) == 0;
-  for (int step = 1; step < n; ++step) {
-    const int sendTo =
-        powerOfTwo ? (rank_ ^ step) : (rank_ + step) % n;
-    const int recvFrom =
-        powerOfTwo ? (rank_ ^ step) : (rank_ - step + n) % n;
-    Request out = isend(sendTo, kAlltoallTag, sizePerRank, space);
-    recv(recvFrom, kAlltoallTag, sizePerRank, space);
-    wait(out);
   }
 }
 

@@ -18,7 +18,6 @@
 
 #include "core/units.hpp"
 #include "machines/machine.hpp"
-#include "mpisim/trace.hpp"
 #include "mpisim/transport.hpp"
 #include "sim/vt_scheduler.hpp"
 #include "trace/trace.hpp"
@@ -63,7 +62,6 @@ class Communicator {
   void compute(Duration dt) {
     const Duration begin = now();
     proc_->advance(dt);
-    trace(TraceRecord::Kind::Compute, begin, -1, 0, 0);
     emitRankEvent(trace::Category::Compute, begin, -1, 0);
   }
 
@@ -103,40 +101,13 @@ class Communicator {
                 int recvTag, ByteCount recvSize,
                 BufferSpace space = BufferSpace::host());
 
-  // --- collectives (each documented with its algorithm) ------------------
-
   /// Linear barrier through rank 0 (gather then release).
   void barrier();
-
-  /// Binomial-tree broadcast of `size` bytes from `root`.
-  void bcast(int root, ByteCount size,
-             BufferSpace space = BufferSpace::host());
-
-  /// Binomial-tree reduction of `size` bytes to `root`; per-byte combine
-  /// cost models the arithmetic.
-  void reduce(int root, ByteCount size,
-              BufferSpace space = BufferSpace::host());
-
-  /// Allreduce: recursive doubling for power-of-two communicators,
-  /// reduce-to-0 + broadcast otherwise.
-  void allreduce(ByteCount size, BufferSpace space = BufferSpace::host());
-
-  /// Ring allgather: each rank contributes `size` bytes and receives the
-  /// contributions of all others in size-1 ring steps.
-  void allgather(ByteCount size, BufferSpace space = BufferSpace::host());
-
-  /// Pairwise-exchange alltoall: `sizePerRank` bytes to every peer.
-  void alltoall(ByteCount sizePerRank,
-                BufferSpace space = BufferSpace::host());
 
  private:
   friend class MpiWorld;
   Communicator(MpiWorld& world, sim::VirtualProcess& proc, int rank)
       : world_(&world), proc_(&proc), rank_(rank) {}
-
-  /// Records [begin, now()] to the world's tracer, when attached.
-  void trace(TraceRecord::Kind kind, Duration begin, int peer,
-             std::uint64_t bytes, int tag);
 
   /// Records [begin, now()] as a rank-lane event into the trace buffer
   /// the world captured at construction (no-op when tracing is off).
@@ -170,10 +141,6 @@ class MpiWorld {
 
   /// Runs a distinct function per rank. Precondition: fns.size() == size().
   void runEach(const std::vector<RankFn>& fns);
-
-  /// Attaches a timeline tracer (nullptr detaches). The tracer must
-  /// outlive every subsequent run; records accumulate across runs.
-  void setTracer(Tracer* tracer) { tracer_ = tracer; }
 
   /// Arms the underlying scheduler's virtual-time watchdog: a run whose
   /// virtual clock exceeds `deadline` aborts with sim::TimeoutError
@@ -269,7 +236,6 @@ class MpiWorld {
   std::vector<std::uint64_t> pairSeq_;  ///< Per directed pair message sequence.
   std::uint64_t retransmits_ = 0;       ///< Lost copies resent in this run.
   std::uint64_t nextRtsId_ = 1;
-  Tracer* tracer_ = nullptr;
   /// Trace buffer captured at construction (the constructing thread is
   /// the tracing scope's thread; rank threads are not). Null when
   /// tracing is disabled — every emit site is then one pointer check.

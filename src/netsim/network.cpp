@@ -1,5 +1,7 @@
 #include "netsim/network.hpp"
 
+#include <vector>
+
 #include "core/rng.hpp"
 #include "core/strings.hpp"
 #include "mpisim/analytic.hpp"
@@ -52,28 +54,20 @@ InterNodeParams networkFor(const Machine& m) {
 
 namespace {
 
-/// Builds a two-node world with `pairs` communicating pairs: ranks
-/// 2i (node 0) <-> 2i+1 (node 1), each pair on its own core (and GPU on
-/// device mode).
-MpiWorld makeTwoNodeWorld(const Machine& m, int pairs, bool deviceBuffers,
+/// Builds the two-node world: rank 0 on node 0 and rank 1 on node 1,
+/// both on core 0 (and GPU 0 in device mode).
+MpiWorld makeTwoNodeWorld(const Machine& m, bool deviceBuffers,
                           const InterNodeParams& network) {
-  NB_EXPECTS(pairs >= 1);
-  NB_EXPECTS(pairs <= m.topology.coreCount());
   if (deviceBuffers) {
-    NB_EXPECTS_MSG(m.accelerated() && pairs <= m.topology.gpuCount(),
-                   "not enough GPUs for the requested pair count");
+    NB_EXPECTS_MSG(m.accelerated() && m.topology.gpuCount() >= 1,
+                   "device buffers need a GPU machine");
   }
-  std::vector<RankPlacement> placements;
-  placements.reserve(2 * pairs);
-  for (int p = 0; p < pairs; ++p) {
-    for (int node = 0; node < 2; ++node) {
-      RankPlacement rp;
-      rp.core = topo::CoreId{p};
-      rp.node = node;
-      if (deviceBuffers) {
-        rp.gpu = p;
-      }
-      placements.push_back(rp);
+  std::vector<RankPlacement> placements(2);
+  for (int node = 0; node < 2; ++node) {
+    placements[node].core = topo::CoreId{0};
+    placements[node].node = node;
+    if (deviceBuffers) {
+      placements[node].gpu = 0;
     }
   }
   return MpiWorld(m, std::move(placements), network);
@@ -84,65 +78,57 @@ MpiWorld makeTwoNodeWorld(const Machine& m, int pairs, bool deviceBuffers,
 InterNodeResult measureInterNode(const Machine& m,
                                  const InterNodeConfig& cfg) {
   NB_EXPECTS(cfg.iterations > 0 && cfg.binaryRuns > 0);
-  const int pairs = cfg.pairsPerNode;
   const InterNodeParams network =
       cfg.network ? *cfg.network : networkFor(m);
-  MpiWorld world = makeTwoNodeWorld(m, pairs, cfg.deviceBuffers, network);
+  MpiWorld world = makeTwoNodeWorld(m, cfg.deviceBuffers, network);
   if (cfg.watchdog) {
     world.setWatchdog(*cfg.watchdog);
   }
 
   Duration latencyElapsed = Duration::zero();
-  std::vector<double> pairBandwidth(pairs, 0.0);
+  double bwTruth = 0.0;
   constexpr int kTag = 11;
   constexpr int kWindow = 32;
+  const ByteCount streamSize = ByteCount::kib(64);
+  const double streamBytes =
+      streamSize.asDouble() * kWindow * (cfg.iterations / 10 + 1);
 
-  // A single pair with no loss plan, watchdog, or tracing has no channel
-  // contention or fault interleaving to simulate: compose both phases in
-  // closed form (bit-identical; see mpisim/analytic.hpp). More pairs share
-  // NICs, and a watchdog needs the scheduler to raise TimeoutError.
-  const bool fastPath = pairs == 1 && !cfg.watchdog &&
-                        network.packetLossRate <= 0.0 &&
+  // With no loss plan, watchdog, or tracing there is no fault
+  // interleaving to simulate: compose both phases in closed form
+  // (bit-identical; see mpisim/analytic.hpp). A watchdog needs the
+  // scheduler to raise TimeoutError.
+  const bool fastPath = !cfg.watchdog && network.packetLossRate <= 0.0 &&
                         mpisim::analytic::fastPathEligible();
   if (fastPath) {
     const auto composed = mpisim::analytic::interNodePairElapsed(
         m, network, cfg.deviceBuffers, cfg.messageSize, cfg.iterations);
     latencyElapsed = composed.latencyElapsed;
-    const double bytes = ByteCount::kib(64).asDouble() * kWindow *
-                         (cfg.iterations / 10 + 1);
-    pairBandwidth[0] = bytes / composed.streamElapsed.ns();
+    bwTruth = streamBytes / composed.streamElapsed.ns();
   } else {
     world.run([&](Communicator& c) {
-      const int pair = c.rank() / 2;
       const int peer = c.rank() ^ 1;
-      const bool pinger = c.rank() % 2 == 0;
-      const BufferSpace space = cfg.deviceBuffers
-                                    ? BufferSpace::onDevice(pair)
-                                    : BufferSpace::host();
+      const bool pinger = c.rank() == 0;
+      const BufferSpace space = cfg.deviceBuffers ? BufferSpace::onDevice(0)
+                                                  : BufferSpace::host();
       c.barrier();
 
-      // Phase 1: latency ping-pong on pair 0, others idle (idle-network
-      // latency, matching how OSU latency is normally run).
-      if (pair == 0) {
-        if (pinger) {
-          const Duration start = c.now();
-          for (int i = 0; i < cfg.iterations; ++i) {
-            c.send(peer, kTag, cfg.messageSize, space);
-            c.recv(peer, kTag, cfg.messageSize, space);
-          }
-          latencyElapsed = c.now() - start;
-        } else {
-          for (int i = 0; i < cfg.iterations; ++i) {
-            c.recv(peer, kTag, cfg.messageSize, space);
-            c.send(peer, kTag, cfg.messageSize, space);
-          }
+      // Phase 1: latency ping-pong on the idle network.
+      if (pinger) {
+        const Duration start = c.now();
+        for (int i = 0; i < cfg.iterations; ++i) {
+          c.send(peer, kTag, cfg.messageSize, space);
+          c.recv(peer, kTag, cfg.messageSize, space);
+        }
+        latencyElapsed = c.now() - start;
+      } else {
+        for (int i = 0; i < cfg.iterations; ++i) {
+          c.recv(peer, kTag, cfg.messageSize, space);
+          c.send(peer, kTag, cfg.messageSize, space);
         }
       }
       c.barrier();
 
-      // Phase 2: all pairs stream concurrently (windowed, osu_bw style);
-      // NIC sharing emerges from the node-injection channel.
-      const ByteCount streamSize = ByteCount::kib(64);
+      // Phase 2: windowed stream (osu_bw style) closed by a 4-byte ack.
       const Duration start = c.now();
       for (int it = 0; it < cfg.iterations / 10 + 1; ++it) {
         if (pinger) {
@@ -164,28 +150,22 @@ InterNodeResult measureInterNode(const Machine& m,
         }
       }
       if (pinger) {
-        const double bytes = streamSize.asDouble() * kWindow *
-                             (cfg.iterations / 10 + 1);
-        pairBandwidth[pair] = bytes / (c.now() - start).ns();
+        bwTruth = streamBytes / (c.now() - start).ns();
       }
     });
   }
 
   const double latencyTruthUs =
       latencyElapsed.us() / (2.0 * cfg.iterations);
-  double bwTruth = 0.0;
-  for (double bw : pairBandwidth) {
-    bwTruth += bw;
-  }
-  bwTruth /= static_cast<double>(pairs);  // per-pair average
 
   const NoiseModel noise(m.hostMpi.cv);
   Welford latAcc;
   Welford bwAcc;
   for (int run = 0; run < cfg.binaryRuns; ++run) {
+    // The trailing +1 is part of the seed: the faults and trace outputs
+    // are pinned with it.
     Xoshiro256 rng(cfg.seed + m.seed +
-                   0x9e3779b9u * static_cast<std::uint64_t>(run) +
-                   static_cast<std::uint64_t>(pairs));
+                   0x9e3779b9u * static_cast<std::uint64_t>(run) + 1u);
     latAcc.add(latencyTruthUs * noise.sampleFactor(rng));
     bwAcc.add(bwTruth * noise.sampleFactor(rng));
   }
@@ -193,23 +173,8 @@ InterNodeResult measureInterNode(const Machine& m,
     tb->count("netsim.internode_runs");
     tb->count("netsim.retransmits", world.retransmitCount());
   }
-  return InterNodeResult{cfg.messageSize, pairs, latAcc.summary(),
-                         bwAcc.summary(), world.retransmitCount()};
-}
-
-std::vector<InterNodeResult> congestionSweep(const Machine& m,
-                                             ByteCount messageSize,
-                                             int maxPairs,
-                                             const InterNodeConfig& cfg) {
-  NB_EXPECTS(maxPairs >= 1);
-  std::vector<InterNodeResult> out;
-  for (int pairs = 1; pairs <= maxPairs; pairs *= 2) {
-    InterNodeConfig c = cfg;
-    c.messageSize = messageSize;
-    c.pairsPerNode = pairs;
-    out.push_back(measureInterNode(m, c));
-  }
-  return out;
+  return InterNodeResult{cfg.messageSize, latAcc.summary(), bwAcc.summary(),
+                         world.retransmitCount()};
 }
 
 }  // namespace nodebench::netsim

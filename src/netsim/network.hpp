@@ -6,13 +6,11 @@
 /// bandwidth), network topology").
 ///
 /// Every studied system gets a representative interconnect parameter set
-/// (Slingshot-11, EDR InfiniBand, Aries, Omni-Path), and helper
-/// measurement functions mirror the OSU methodology across nodes:
-/// point-to-point latency/bandwidth plus a neighbour-congestion sweep
-/// where several node-local pairs share one NIC.
+/// (Slingshot-11, EDR InfiniBand, Aries, Omni-Path), and
+/// `measureInterNode` mirrors the OSU methodology across nodes:
+/// point-to-point latency and windowed bandwidth between two nodes.
 
 #include <optional>
-#include <vector>
 
 #include "core/stats.hpp"
 #include "machines/machine.hpp"
@@ -28,8 +26,6 @@ struct InterNodeConfig {
   ByteCount messageSize = ByteCount::bytes(8);
   int iterations = 200;
   int binaryRuns = 100;
-  /// Concurrent communicating pairs per node (congestion sweep knob).
-  int pairsPerNode = 1;
   /// Device-resident buffers (GPU machines only).
   bool deviceBuffers = false;
   std::uint64_t seed = 0x4e7e0001u;
@@ -43,23 +39,15 @@ struct InterNodeConfig {
 
 struct InterNodeResult {
   ByteCount messageSize;
-  int pairsPerNode = 1;
   Summary latencyUs;            ///< One-way ping-pong latency.
-  Summary perPairBandwidthGBps; ///< Windowed bandwidth per pair.
+  Summary perPairBandwidthGBps; ///< Windowed bandwidth of the pair.
   std::uint64_t retransmits = 0;  ///< Lost-and-resent inter-node messages.
 };
 
-/// Ping-pong latency between rank 0 on node 0 and rank 1 on node 1, with
-/// `pairsPerNode - 1` additional pairs saturating the same NICs during a
-/// concurrent windowed stream (contention shows up in bandwidth, not in
-/// the idle-network latency probe when pairsPerNode == 1).
+/// Ping-pong latency, then a windowed 64 KiB stream, between rank 0 on
+/// node 0 and rank 1 on node 1 (core 0 of each, plus GPU 0 in device
+/// mode).
 [[nodiscard]] InterNodeResult measureInterNode(const machines::Machine& m,
                                                const InterNodeConfig& cfg);
-
-/// Bandwidth-vs-pairs congestion sweep: per-pair and aggregate bandwidth
-/// as 1, 2, 4, ... pairs on the same two nodes share the NICs.
-[[nodiscard]] std::vector<InterNodeResult> congestionSweep(
-    const machines::Machine& m, ByteCount messageSize, int maxPairs,
-    const InterNodeConfig& cfg);
 
 }  // namespace nodebench::netsim

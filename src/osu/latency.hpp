@@ -74,8 +74,7 @@ class LatencyBenchmark {
   [[nodiscard]] std::vector<LatencyResult> sweep(
       ByteCount maxSize, const LatencyConfig& config) const;
 
-  /// Noiseless single-binary average one-way latency (exposed for tests
-  /// and the protocol-crossover ablation).
+  /// Noiseless single-binary average one-way latency (exposed for tests).
   [[nodiscard]] Duration truthOneWay(ByteCount messageSize,
                                      int iterations) const;
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "machines/registry.hpp"
 
 namespace nodebench::gpusim {
@@ -68,6 +71,48 @@ TEST(GpuRuntime, IndependentStreamsOverlap) {
   // Overlapping execution: far less than 200 us + overheads.
   EXPECT_LT(rt.hostNow().us(), 150.0);
 }
+
+/// Paper §4: BabelStream uses one of the MI250X's two Graphics Compute
+/// Dies, so the package's bandwidth is "roughly double" the reported one.
+class Mi250xGcdTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(Mi250xGcdTest, BothGcdsDoubleThePackageBandwidth) {
+  // A 1 GiB Triad on GCDs 0 and 1 at once: launches and syncs are
+  // serialized on the host, so the gain is just under 2x.
+  const auto& m = byName(GetParam());
+  GpuRuntime rt(m);
+  const double traffic = 3.0 * ByteCount::gib(1).asDouble();  // Triad
+  const Duration kernel = Duration::nanoseconds(
+      traffic / m.device->hbmBw.bytesPerNanosecond());
+  const StreamId s0 = rt.defaultStream(0);
+  const StreamId s1 = rt.defaultStream(1);
+  rt.launchKernel(s0, kernel);
+  rt.streamSynchronize(s0);
+  const double single = traffic / rt.hostNow().ns();
+  rt.reset();
+  rt.launchKernel(s0, kernel);
+  rt.launchKernel(s1, kernel);
+  rt.streamSynchronize(s0);
+  rt.streamSynchronize(s1);
+  const double dual = 2.0 * traffic / rt.hostNow().ns();
+  EXPECT_GE(dual / single, 1.99);
+  EXPECT_LE(dual / single, 2.00);
+}
+
+std::vector<std::string> mi250xMachineNames() {
+  std::vector<std::string> names;
+  for (const auto& group : machines::acceleratorGroups()) {
+    if (group.name == "MI250X") {
+      for (const machines::Machine* m : group.members) {
+        names.push_back(m->info.name);
+      }
+    }
+  }
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Mi250xMachines, Mi250xGcdTest, ::testing::ValuesIn(mi250xMachineNames()));
 
 TEST(GpuRuntime, H2dTransferUsesHostLink) {
   const auto& m = byName("Perlmutter");

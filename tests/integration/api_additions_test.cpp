@@ -1,5 +1,5 @@
 /// Tests of the cross-cutting API additions: stream-wait-event
-/// dependencies, sendrecv, trace summary tables and confidence intervals.
+/// dependencies, sendrecv and confidence intervals.
 
 #include <gtest/gtest.h>
 
@@ -81,27 +81,6 @@ TEST(Sendrecv, TimingMatchesManualIsendRecvWait) {
     return us;
   };
   EXPECT_DOUBLE_EQ(run(true), run(false));
-}
-
-TEST(TraceSummary, TableShowsPerRankTotals) {
-  const auto& m = byName("Eagle");
-  mpisim::Tracer tracer;
-  mpisim::MpiWorld world(
-      m, {mpisim::RankPlacement{topo::CoreId{0}, std::nullopt},
-          mpisim::RankPlacement{topo::CoreId{1}, std::nullopt}});
-  world.setTracer(&tracer);
-  world.run([](mpisim::Communicator& c) {
-    c.compute(Duration::microseconds(5.0));
-    if (c.rank() == 0) {
-      c.send(1, 1, ByteCount::bytes(64));
-    } else {
-      c.recv(0, 1, ByteCount::bytes(64));
-    }
-  });
-  const std::string table = tracer.summaryTable(2);
-  EXPECT_NE(table.find("Per-rank virtual time"), std::string::npos);
-  EXPECT_NE(table.find("5.0"), std::string::npos);  // compute column
-  EXPECT_THROW((void)tracer.summaryTable(0), PreconditionError);
 }
 
 TEST(Ci95, ShrinksWithSampleCount) {

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "babelstream/driver.hpp"
 #include "babelstream/sim_device_backend.hpp"
+#include "babelstream/sim_omp_backend.hpp"
 #include "commscope/commscope.hpp"
 #include "machines/registry.hpp"
 #include "osu/latency.hpp"
@@ -97,8 +100,7 @@ TEST(CrossMachine, DeviceMpiHierarchyMatchesPaper) {
 TEST(CrossMachine, DeviceMpiBeatsCommScopeD2dOnEveryGpuMachine) {
   // Paper §4: "Inter-device latency in Comm|Scope is substantially slower
   // than the inter-device latency shown by the OSU microbenchmarks"
-  // (memcpyAsync vs MPI RMA) — on the MI250X machines by two orders of
-  // magnitude.
+  // (memcpyAsync vs MPI RMA) — on the MI250X machines by 20-27x.
   for (const Machine* m : machines::gpuMachines()) {
     commscope::CommScope scope(*m);
     commscope::Config cfg;
@@ -108,6 +110,69 @@ TEST(CrossMachine, DeviceMpiBeatsCommScopeD2dOnEveryGpuMachine) {
     EXPECT_GT(commscopeUs, deviceMpiUs(*m)) << m->info.name;
   }
 }
+
+/// A GPU machine and its noise-free ratio of class-A device-to-device
+/// latency through Comm|Scope's memcpyAsync (128 B) to that through OSU's
+/// MPI RMA (8 B).
+struct D2dGap {
+  const char* machine;
+  double commScopeOverOsu;
+};
+
+void PrintTo(const D2dGap& gap, std::ostream* os) {
+  *os << ::testing::PrintToString(gap.machine);
+}
+
+class D2dMechanismTest : public ::testing::TestWithParam<D2dGap> {
+ protected:
+  const Machine& machine() const { return byName(GetParam().machine); }
+
+  /// Noise-free Comm|Scope class-A latency of a 128 B copy.
+  double commScopeUs() const {
+    return commscope::CommScope(machine())
+        .truthD2dTime(topo::LinkClass::A, kProbe)
+        .us();
+  }
+
+  static constexpr ByteCount kProbe = ByteCount::bytes(128);
+};
+
+TEST_P(D2dMechanismTest, ClassALatencyIsCallDmaRouteAndSync) {
+  // The memcpyAsync path pays the driver call, the DMA-engine setup, the
+  // route and a synchronize per copy: the noise-free class-A latency is
+  // exactly those terms plus the 128 B transfer.
+  const Machine& m = machine();
+  const auto pair = m.topology.representativePair(topo::LinkClass::A);
+  ASSERT_TRUE(pair.has_value());
+  const topo::Route route = m.topology.routeGpuToGpu(pair->first,
+                                                     pair->second);
+  const auto& d = *m.device;
+  const double terms = d.memcpyCallOverhead.us() + d.d2dDmaSetup.us() +
+                       route.latency.us() + d.syncWait.us();
+  const double copyUs = commScopeUs();
+  EXPECT_GE(copyUs, terms);
+  EXPECT_LE(copyUs - terms,
+            route.bottleneck.transferTime(kProbe).us() + 1e-9);
+}
+
+TEST_P(D2dMechanismTest, CommScopeOverOsuGapIsPinned) {
+  const Machine& m = machine();
+  const auto [a, b] = osu::devicePair(m, topo::LinkClass::A);
+  const double mpiUs =
+      osu::LatencyBenchmark(m, a, b, mpisim::BufferSpace::Kind::Device)
+          .truthOneWay(ByteCount::bytes(8), 1000)
+          .us();
+  // Within 0.5% of the pinned ratio.
+  const double expected = GetParam().commScopeOverOsu;
+  EXPECT_NEAR(commScopeUs() / mpiUs, expected, 5e-3 * expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GpuMachines, D2dMechanismTest,
+    ::testing::Values(D2dGap{"Frontier", 27.3}, D2dGap{"Summit", 1.38},
+                      D2dGap{"Sierra", 1.28}, D2dGap{"Perlmutter", 1.09},
+                      D2dGap{"Polaris", 3.15}, D2dGap{"Lassen", 1.31},
+                      D2dGap{"RZVernal", 19.7}, D2dGap{"Tioga", 19.7}));
 
 TEST(CrossMachine, Mi250xWaitLatencyIsTiny) {
   // Paper: "Kernel wait latencies are ... .1-.2 us for the MI250X
@@ -122,6 +187,39 @@ TEST(CrossMachine, TrinityBeatsThetaDespiteSameArchitecture) {
   // The paper's KNL anomaly: same CPU family, wildly different results.
   EXPECT_LT(hostMpiUs(byName("Trinity")), 0.2 * hostMpiUs(byName("Theta")));
 }
+
+/// Flat MCDRAM mode would drop the quad-cache management factor: the
+/// noise-free Table 4 "all" bandwidth times `cacheModeOverhead`.
+struct FlatMode {
+  const char* machine;
+  double allThreadsGBps;
+};
+
+void PrintTo(const FlatMode& mode, std::ostream* os) {
+  *os << ::testing::PrintToString(mode.machine);
+}
+
+class KnlFlatModeTest : public ::testing::TestWithParam<FlatMode> {};
+
+TEST_P(KnlFlatModeTest, DroppingTheCacheFactorStaysBelowMcdramPeak) {
+  // Trinity reaches ~399 GB/s, but Theta stays far below the >450 GB/s
+  // MCDRAM figure: the cache factor does not explain its low bandwidth.
+  const Machine& m = byName(GetParam().machine);
+  babelstream::SimOmpBackend backend(
+      m, ompenv::OmpConfig{m.coreCount(), ompenv::ProcBind::Spread,
+                           ompenv::Places::Cores});
+  const ByteCount array = ByteCount::mib(128);
+  const auto op = babelstream::StreamOp::Dot;
+  const double flat = babelstream::countedBytes(op, array).asDouble() /
+                      backend.iterationTime(op, array).ns() *
+                      m.hostMemory.cacheModeOverhead;
+  EXPECT_NEAR(flat, GetParam().allThreadsGBps, 0.5);
+  EXPECT_LT(flat, 450.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KnlMachines, KnlFlatModeTest,
+    ::testing::Values(FlatMode{"Trinity", 399.4}, FlatMode{"Theta", 137.7}));
 
 TEST(CrossMachine, EveryAcceleratorMachineRunsTheFullSuite) {
   for (const Machine* m : machines::gpuMachines()) {

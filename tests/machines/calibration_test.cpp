@@ -2,9 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <ostream>
+
+#include "babelstream/kernels.hpp"
+#include "babelstream/sim_device_backend.hpp"
+#include "commscope/commscope.hpp"
 #include "machines/builders.hpp"
 #include "machines/node_shapes.hpp"
 #include "machines/registry.hpp"
+#include "osu/latency.hpp"
+#include "osu/pairs.hpp"
 
 namespace nodebench::machines {
 namespace {
@@ -117,6 +126,95 @@ TEST(DeviceMpiCalibration, Mi250xBaseIsSubMicrosecond) {
     EXPECT_GT(byName(name).deviceMpi->baseOneWay.us(), 10.0) << name;
   }
 }
+
+/// Four noise-free Frontier cells: Table 5 device bandwidth and OSU D2D
+/// latency, Table 6 H<->D latency and Comm|Scope D2D latency.
+constexpr std::array<const char*, 4> kSensitivityCells{
+    "device bandwidth", "OSU D2D", "H<->D latency", "Comm|Scope D2D"};
+
+std::array<double, 4> sensitivityCells(const Machine& m) {
+  babelstream::SimDeviceBackend backend(m, 0);
+  const ByteCount array = ByteCount::gib(1);
+  double deviceGBps = 0.0;
+  for (const babelstream::StreamOp op : babelstream::kAllOps) {
+    deviceGBps = std::max(deviceGBps,
+                          babelstream::countedBytes(op, array).asDouble() /
+                              backend.iterationTime(op, array).ns());
+  }
+  const auto [a, b] = osu::devicePair(m, topo::LinkClass::A);
+  const osu::LatencyBenchmark osuD2d(m, a, b,
+                                     mpisim::BufferSpace::Kind::Device);
+  commscope::CommScope scope(m);
+  const ByteCount probe = ByteCount::bytes(128);
+  return std::array<double, 4>{
+      deviceGBps, osuD2d.truthOneWay(ByteCount::bytes(8), 1000).us(),
+      scope.truthHostDeviceTime(probe).us(),
+      scope.truthD2dTime(topo::LinkClass::A, probe).us()};
+}
+
+/// One row of the perturbation matrix: a primitive raised by 10% and the
+/// relative change it should cause in each cell.
+struct Perturbation {
+  const char* primitive;
+  void (*raise)(Machine&);
+  std::array<double, 4> change;
+};
+
+void PrintTo(const Perturbation& row, std::ostream* os) {
+  *os << ::testing::PrintToString(row.primitive);
+}
+
+class CalibrationSensitivity
+    : public ::testing::TestWithParam<Perturbation> {};
+
+TEST_P(CalibrationSensitivity, FrontierPerturbationMatrixIsNearDiagonal) {
+  // Each reproduced cell responds only to the primitives its model
+  // composes, which keeps the calibration inversion well-conditioned
+  // (DESIGN.md §1). Raise one Frontier primitive by 10% and compare the
+  // four cells before and after.
+  const Perturbation& row = GetParam();
+  const Machine& frontier = byName("Frontier");
+  const auto before = sensitivityCells(frontier);
+  Machine perturbed = frontier;
+  row.raise(perturbed);
+  const auto after = sensitivityCells(perturbed);
+  for (std::size_t i = 0; i < kSensitivityCells.size(); ++i) {
+    // Moved cells within 0.1 percentage points of the expected change;
+    // every other cell moves by less than 0.2%.
+    const double tolerance = row.change[i] != 0.0 ? 0.001 : 0.002;
+    EXPECT_NEAR(after[i] / before[i] - 1.0, row.change[i], tolerance)
+        << row.primitive << " +10% -> " << kSensitivityCells[i];
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FrontierPrimitives, CalibrationSensitivity,
+    ::testing::Values(
+        Perturbation{"hbmBw",
+                     [](Machine& m) {
+                       m.device->hbmBw = m.device->hbmBw * 1.1;
+                     },
+                     {0.10, 0.0, 0.0, 0.0}},
+        Perturbation{"kernelLaunch",
+                     [](Machine& m) {
+                       m.device->kernelLaunch = m.device->kernelLaunch * 1.1;
+                     },
+                     {0.0, 0.0, 0.0, 0.0}},
+        Perturbation{"syncWait",
+                     [](Machine& m) {
+                       m.device->syncWait = m.device->syncWait * 1.1;
+                     },
+                     {0.0, 0.0, 0.0, 0.0}},
+        Perturbation{"d2dDmaSetup",
+                     [](Machine& m) {
+                       m.device->d2dDmaSetup = m.device->d2dDmaSetup * 1.1;
+                     },
+                     {0.0, 0.0, 0.0, 0.066}},
+        Perturbation{"deviceMpiBase",
+                     [](Machine& m) {
+                       m.deviceMpi->baseOneWay = m.deviceMpi->baseOneWay * 1.1;
+                     },
+                     {0.0, 0.08, 0.0, 0.0}}));
 
 TEST(Calibration, RequiresDeviceParams) {
   Machine m;

@@ -104,17 +104,6 @@ TEST(HostMemoryModel, CacheResidentWorkingSetIsFaster) {
   EXPECT_GT(cached, 1.5 * dram);
 }
 
-TEST(HostMemoryModel, KnlCacheModeOverrideRestoresFlatBandwidth) {
-  const auto& m = byName("Trinity");
-  HostMemoryModel model(m);
-  const auto p = placed(m, m.coreCount(), ProcBind::True, Places::NotSet);
-  const double cached = model.achievableBandwidth(p, big).inGBps();
-  model.setCacheModeOverride(1.0);  // flat-mode what-if
-  const double flat = model.achievableBandwidth(p, big).inGBps();
-  EXPECT_NEAR(flat / cached, m.hostMemory.cacheModeOverhead, 1e-9);
-  EXPECT_THROW(model.setCacheModeOverride(0.5), PreconditionError);
-}
-
 TEST(HostMemoryModel, TransferTimeIsTrafficOverBandwidth) {
   const auto& m = byName("Eagle");
   HostMemoryModel model(m);
@@ -124,10 +113,6 @@ TEST(HostMemoryModel, TransferTimeIsTrafficOverBandwidth) {
   EXPECT_NEAR(t.s(), 27.0 / 13.45, 1e-9);
   EXPECT_THROW((void)model.transferTime(ByteCount{0}, big, p),
                PreconditionError);
-}
-
-TEST(HostMemoryModel, WriteAllocateFlagReflectsMachine) {
-  EXPECT_TRUE(HostMemoryModel(byName("Eagle")).writeAllocate());
 }
 
 TEST(HostMemoryModel, EmptyPlacementRejected) {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "machines/registry.hpp"
@@ -134,123 +133,6 @@ TEST(NonBlocking, MixedBlockingAndNonblockingMatch) {
         c.wait(r);
       },
   });
-}
-
-TEST(Collectives, BcastReachesEveryRank) {
-  const auto& m = byName("Sawtooth");
-  std::vector<RankPlacement> ranks;
-  for (int i = 0; i < 7; ++i) {  // non-power-of-two on purpose
-    ranks.push_back(RankPlacement{CoreId{i}, std::nullopt});
-  }
-  MpiWorld world(m, ranks);
-  std::vector<double> doneAt(7, -1.0);
-  world.run([&](Communicator& c) {
-    c.bcast(2, ByteCount::kib(1));
-    doneAt[c.rank()] = c.now().us();
-  });
-  for (int r = 0; r < 7; ++r) {
-    EXPECT_GE(doneAt[r], 0.0) << "rank " << r;
-  }
-  // The root finishes no later than the farthest leaf.
-  EXPECT_LE(doneAt[2], *std::max_element(doneAt.begin(), doneAt.end()));
-}
-
-TEST(Collectives, ReduceCompletesAtRoot) {
-  const auto& m = byName("Sawtooth");
-  std::vector<RankPlacement> ranks;
-  for (int i = 0; i < 8; ++i) {
-    ranks.push_back(RankPlacement{CoreId{i}, std::nullopt});
-  }
-  MpiWorld world(m, ranks);
-  double rootDone = -1.0;
-  world.run([&](Communicator& c) {
-    c.reduce(0, ByteCount::kib(4));
-    if (c.rank() == 0) {
-      rootDone = c.now().us();
-    }
-  });
-  EXPECT_GT(rootDone, 0.0);
-}
-
-TEST(Collectives, AllreduceScalesLogarithmically) {
-  const auto& m = byName("Sawtooth");
-  const auto latencyFor = [&](int n) {
-    std::vector<RankPlacement> ranks;
-    for (int i = 0; i < n; ++i) {
-      ranks.push_back(RankPlacement{CoreId{i}, std::nullopt});
-    }
-    MpiWorld world(m, ranks);
-    double us = 0.0;
-    world.run([&](Communicator& c) {
-      c.allreduce(ByteCount::bytes(8));
-      if (c.rank() == 0) {
-        us = c.now().us();
-      }
-    });
-    return us;
-  };
-  const double l4 = latencyFor(4);   // 2 rounds
-  const double l16 = latencyFor(16); // 4 rounds
-  EXPECT_GT(l16, l4);
-  EXPECT_LT(l16, 3.0 * l4);  // log growth, not linear (x4)
-}
-
-TEST(Collectives, AllgatherRingCompletesForAllSizes) {
-  const auto& m = byName("Sawtooth");
-  for (const int n : {2, 3, 5, 8}) {
-    std::vector<RankPlacement> ranks;
-    for (int i = 0; i < n; ++i) {
-      ranks.push_back(RankPlacement{CoreId{i}, std::nullopt});
-    }
-    MpiWorld world(m, ranks);
-    int completed = 0;
-    world.run([&](Communicator& c) {
-      c.allgather(ByteCount::kib(16));  // rendezvous-sized blocks
-      ++completed;
-    });
-    EXPECT_EQ(completed, n) << n << " ranks";
-  }
-}
-
-TEST(Collectives, AlltoallCompletesPowerAndNonPowerOfTwo) {
-  const auto& m = byName("Sawtooth");
-  for (const int n : {4, 6}) {
-    std::vector<RankPlacement> ranks;
-    for (int i = 0; i < n; ++i) {
-      ranks.push_back(RankPlacement{CoreId{i}, std::nullopt});
-    }
-    MpiWorld world(m, ranks);
-    int completed = 0;
-    world.run([&](Communicator& c) {
-      c.alltoall(ByteCount::bytes(256));
-      ++completed;
-    });
-    EXPECT_EQ(completed, n);
-  }
-}
-
-TEST(Collectives, AlltoallCostsMoreThanBcast) {
-  const auto& m = byName("Sawtooth");
-  std::vector<RankPlacement> ranks;
-  for (int i = 0; i < 8; ++i) {
-    ranks.push_back(RankPlacement{CoreId{i}, std::nullopt});
-  }
-  const auto timeOf = [&](auto op) {
-    MpiWorld world(m, ranks);
-    double us = 0.0;
-    world.run([&](Communicator& c) {
-      op(c);
-      if (c.rank() == 0) {
-        us = c.now().us();
-      }
-    });
-    return us;
-  };
-  const double bcast =
-      timeOf([](Communicator& c) { c.bcast(0, ByteCount::kib(1)); });
-  const double alltoall =
-      timeOf([](Communicator& c) { c.alltoall(ByteCount::kib(1)); });
-  EXPECT_GT(alltoall, bcast);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "machines/registry.hpp"
 #include "mpisim/transport.hpp"
+#include "mpisim/world.hpp"
 
 namespace nodebench::mpisim {
 namespace {
@@ -48,6 +49,48 @@ TEST_P(TransportPropertyTest, EagerOneWayMonotoneInSize) {
     EXPECT_GE(oneWay, prev) << size;
     prev = oneWay;
   }
+}
+
+TEST_P(TransportPropertyTest, RendezvousStepIsHandshakePlusCopyChange) {
+  // One byte past the eager threshold pays the RTS/CTS handshake (one more
+  // send overhead, two more receive overheads, two more path latencies)
+  // and moves at the single-copy rendezvous bandwidth instead of the
+  // eager one. The step is negative where the faster copy saves more than
+  // the handshake costs (Eagle).
+  const Machine& m = machine();
+  const RankPlacement a{CoreId{0}, std::nullopt};
+  const RankPlacement b{CoreId{1}, std::nullopt};
+  const PathTiming p =
+      resolvePath(m, a, b, BufferSpace::host(), BufferSpace::host());
+  const ByteCount eager = p.eagerThreshold;
+  const ByteCount rendezvous = ByteCount::bytes(eager.count() + 1);
+  const auto oneWayNs = [&](ByteCount size) {
+    constexpr int kRoundTrips = 10;
+    MpiWorld world(m, {a, b});
+    Duration elapsed = Duration::zero();
+    world.run([&](Communicator& c) {
+      for (int i = 0; i < kRoundTrips; ++i) {
+        if (c.rank() == 0) {
+          c.send(1, 0, size);
+          c.recv(1, 0, size);
+        } else {
+          c.recv(0, 0, size);
+          c.send(0, 0, size);
+        }
+      }
+      if (c.rank() == 0) {
+        elapsed = c.now();
+      }
+    });
+    return elapsed.ns() / (2.0 * kRoundTrips);
+  };
+  const double handshake = p.sendOverhead.ns() + 2.0 * p.recvOverhead.ns() +
+                           2.0 * p.latency.ns();
+  const double copyChange =
+      p.rendezvousBandwidth.transferTime(rendezvous).ns() -
+      p.eagerBandwidth.transferTime(eager).ns();
+  EXPECT_NEAR(oneWayNs(rendezvous) - oneWayNs(eager), handshake + copyChange,
+              1e-6);
 }
 
 TEST_P(TransportPropertyTest, AllTimingConstantsPositive) {

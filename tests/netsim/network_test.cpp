@@ -65,22 +65,6 @@ TEST(Network, DeviceBuffersAddStagingOnV100) {
   EXPECT_LT(fDev - fHost, 1.0);  // GPU-RMA adds almost nothing
 }
 
-TEST(Network, CongestionHalvesPerPairBandwidth) {
-  const auto& m = byName("Frontier");
-  InterNodeConfig cfg;
-  cfg.binaryRuns = 5;
-  cfg.iterations = 50;
-  const auto sweep = congestionSweep(m, ByteCount::kib(64), 4, cfg);
-  ASSERT_EQ(sweep.size(), 3u);  // pairs = 1, 2, 4
-  const double solo = sweep[0].perPairBandwidthGBps.mean;
-  const double duo = sweep[1].perPairBandwidthGBps.mean;
-  const double quad = sweep[2].perPairBandwidthGBps.mean;
-  EXPECT_LT(duo, 0.7 * solo);
-  EXPECT_LT(quad, 0.7 * duo);
-  // Aggregate stays roughly flat at the NIC limit.
-  EXPECT_NEAR(4.0 * quad / solo, 1.0, 0.35);
-}
-
 TEST(Network, MultiNodePlacementRequiresNetwork) {
   const auto& m = byName("Eagle");
   std::vector<mpisim::RankPlacement> ranks{

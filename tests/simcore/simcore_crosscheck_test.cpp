@@ -10,9 +10,9 @@
 ///     parameters × seeds).
 ///  2. Closed-form composition: the analytic fast path in
 ///     `mpisim/analytic.*` is bit-identical to event-by-event simulation
-///     for the latency / bandwidth / inter-node kernels behind every
-///     Table 4/5/6 point-to-point cell, and falls back to full simulation
-///     whenever faults, contention, tracing, or a watchdog are in play.
+///     for the latency and inter-node kernels behind every Table 4/5/6
+///     point-to-point cell, and falls back to full simulation whenever
+///     faults, tracing, or a watchdog are in play.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +25,6 @@
 #include "mpisim/analytic.hpp"
 #include "mpisim/world.hpp"
 #include "netsim/network.hpp"
-#include "osu/bandwidth.hpp"
 #include "osu/latency.hpp"
 #include "osu/pairs.hpp"
 #include "sim/vt_scheduler.hpp"
@@ -352,37 +351,6 @@ TEST(SimcoreAnalytic, LatencyTruthBitIdenticalDevicePairs) {
   }
 }
 
-TEST(SimcoreAnalytic, BandwidthTruthBitIdentical) {
-  for (const char* name : {"Eagle", "Frontier"}) {
-    const machines::Machine& m = byName(name);
-    const auto [a, b] = osu::onSocketPair(m);
-    for (const bool bidirectional : {false, true}) {
-      const osu::BandwidthBenchmark bench(m, a, b, BufferSpace::Kind::Host,
-                                          bidirectional);
-      for (const ByteCount size :
-           {ByteCount::bytes(1), ByteCount::kib(64), ByteCount::mib(1)}) {
-        osu::BandwidthConfig cfg;
-        cfg.messageSize = size;
-        cfg.windowSize = 64;
-        cfg.iterations = 5;
-        double fast = 0.0;
-        double slow = 0.0;
-        {
-          FastPathGuard guard(true);
-          fast = bench.truthGBps(cfg);
-        }
-        {
-          FastPathGuard guard(false);
-          slow = bench.truthGBps(cfg);
-        }
-        EXPECT_EQ(fast, slow)
-            << name << (bidirectional ? " bibw" : " bw") << " @ "
-            << size.count() << " B";
-      }
-    }
-  }
-}
-
 void expectSummaryEq(const Summary& x, const Summary& y,
                      const std::string& what) {
   EXPECT_EQ(x.mean, y.mean) << what;
@@ -400,7 +368,6 @@ TEST(SimcoreAnalytic, InterNodeSinglePairBitIdentical) {
       cfg.messageSize = ByteCount::bytes(8);
       cfg.iterations = 50;
       cfg.binaryRuns = 10;
-      cfg.pairsPerNode = 1;
       cfg.deviceBuffers = device;
       netsim::InterNodeResult fast;
       netsim::InterNodeResult slow;
@@ -433,7 +400,6 @@ TEST(SimcoreAnalytic, PacketLossForcesEventPath) {
   cfg.messageSize = ByteCount::bytes(8);
   cfg.iterations = 40;
   cfg.binaryRuns = 5;
-  cfg.pairsPerNode = 1;
   cfg.network = net;
   netsim::InterNodeResult on;
   netsim::InterNodeResult off;
@@ -460,7 +426,6 @@ TEST(SimcoreAnalytic, WatchdogForcesEventPath) {
   cfg.messageSize = ByteCount::bytes(8);
   cfg.iterations = 1000;
   cfg.binaryRuns = 1;
-  cfg.pairsPerNode = 1;
   cfg.watchdog = 1_us;  // far below the run's virtual duration
   FastPathGuard guard(true);
   EXPECT_THROW((void)netsim::measureInterNode(m, cfg), sim::TimeoutError);
