@@ -1,4 +1,4 @@
-#include "supervise/heartbeat.hpp"
+#include "campaign/heartbeat.hpp"
 
 #include <unistd.h>
 
@@ -8,7 +8,7 @@
 #include <sstream>
 #include <utility>
 
-namespace nodebench::supervise {
+namespace nodebench::campaign {
 
 std::string heartbeatPath(const std::string& shardJournalPath) {
   return shardJournalPath + ".hb";
@@ -80,4 +80,4 @@ void HeartbeatWriter::run() {
   }
 }
 
-}  // namespace nodebench::supervise
+}  // namespace nodebench::campaign

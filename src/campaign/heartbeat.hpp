@@ -23,7 +23,7 @@
 #include <string>
 #include <thread>
 
-namespace nodebench::supervise {
+namespace nodebench::campaign {
 
 struct Heartbeat {
   std::uint64_t pid = 0;
@@ -72,4 +72,4 @@ class HeartbeatWriter {
   std::thread thread_;
 };
 
-}  // namespace nodebench::supervise
+}  // namespace nodebench::campaign

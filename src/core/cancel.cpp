@@ -1,5 +1,6 @@
 #include "core/cancel.hpp"
 
+#include <csignal>
 #include <string>
 
 namespace nodebench {
@@ -19,5 +20,18 @@ CancelledError::CancelledError(CancelReason reason)
             "); completed cells are journalled and a --resume run "
             "continues from them"),
       reason_(reason) {}
+
+CancelToken& interruptToken() {
+  static CancelToken token;
+  return token;
+}
+
+void installInterruptHandlers() {
+  const auto onSignal = [](int /*signo*/) {
+    interruptToken().set(CancelReason::Interrupt);
+  };
+  (void)std::signal(SIGINT, onSignal);
+  (void)std::signal(SIGTERM, onSignal);
+}
 
 }  // namespace nodebench

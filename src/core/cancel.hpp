@@ -89,6 +89,15 @@ class CancelToken {
   std::atomic<int> reason_{static_cast<int>(CancelReason::None)};
 };
 
+/// The process-wide token that SIGINT and SIGTERM set once
+/// installInterruptHandlers() has run. Journaled `table`/`export` runs,
+/// `supervise` and `serve` all stop on it.
+[[nodiscard]] CancelToken& interruptToken();
+
+/// Routes SIGINT and SIGTERM to interruptToken() instead of the default
+/// die-on-signal. A run that cannot resume (no journal) leaves them be.
+void installInterruptHandlers();
+
 /// Exit code of a one-shot CLI run stopped by SIGINT/SIGTERM with its
 /// journal intact (distinct from 1 = error and from
 /// campaign::Journal::kCrashExitCode = 42, the crash-injection hook), so

@@ -1,9 +1,15 @@
 #include "stats/merge.hpp"
 
+#include <sys/stat.h>
+
 #include <algorithm>
+#include <iostream>
 #include <map>
 #include <set>
+#include <span>
 #include <utility>
+
+#include "campaign/io.hpp"
 
 namespace nodebench::stats {
 
@@ -171,6 +177,64 @@ std::vector<std::uint8_t> mergeShardStores(
     out.insert(out.end(), framed.begin(), framed.end());
   }
   return out;
+}
+
+void MergeOutputs::refuseExisting() const {
+  for (const std::string* path : {&journal, &store}) {
+    struct stat st {};
+    if (!path->empty() && ::stat(path->c_str(), &st) == 0) {
+      throw Error("merge output already exists: " + *path +
+                  " (remove it first, or merge to a different path)");
+    }
+  }
+}
+
+int writeMerge(const std::vector<std::string>& journals,
+               const std::vector<std::string>& stores,
+               const MergeOutputs& out,
+               const campaign::MergeOptions& options) {
+  std::vector<campaign::ShardInput> inputs;
+  inputs.reserve(journals.size());
+  for (const std::string& path : journals) {
+    inputs.push_back(campaign::readShardInput(path));
+  }
+  const campaign::MergedCampaign merged =
+      campaign::mergeShardJournals(inputs, options);
+  campaign::io::atomicWrite(out.journal, merged.journalBytes, "merge");
+  std::cout << "merged " << inputs.size() << " shard journal(s) -> "
+            << out.journal << " ("
+            << merged.grid.size() - merged.missingCells.size()
+            << " cell record(s))\n";
+  if (!out.store.empty()) {
+    std::vector<ShardStoreInput> storeInputs;
+    storeInputs.reserve(stores.size());
+    for (const std::string& path : stores) {
+      storeInputs.push_back(loadShardStoreInput(path));
+    }
+    campaign::io::atomicWrite(out.store,
+                              mergeShardStores(storeInputs, merged), "merge");
+    std::cout << "merged " << storeInputs.size() << " shard store(s) -> "
+              << out.store << "\n";
+  }
+  if (!merged.partial) {
+    return 0;
+  }
+  // Partial: a smaller table is never silent. The gap manifest names
+  // every missing shard and cell, and the exit code is distinct.
+  const std::string gapPath =
+      out.gaps.empty() ? out.journal + ".gaps.json" : out.gaps;
+  const std::string manifest = campaign::renderGapManifest(merged);
+  campaign::io::atomicWrite(
+      gapPath,
+      std::span<const std::uint8_t>(
+          reinterpret_cast<const std::uint8_t*>(manifest.data()),
+          manifest.size()),
+      "gap manifest");
+  std::cerr << "nodebench merge: PARTIAL merge: "
+            << merged.missingCells.size() << " cell(s) from "
+            << merged.missingShards.size()
+            << " missing shard(s); gap manifest at " << gapPath << "\n";
+  return kPartialCampaignExitCode;
 }
 
 }  // namespace nodebench::stats

@@ -25,6 +25,12 @@
 
 namespace nodebench::stats {
 
+/// Exit code of a partial merge, and so of a supervised campaign that
+/// quarantined shards: distinct from success (0), failure (1) and
+/// interruption (43), so scripts can tell "partial but explicit" from
+/// everything else.
+inline constexpr int kPartialCampaignExitCode = 44;
+
 /// One shard's decoded store plus a name for diagnostics.
 struct ShardStoreInput {
   std::string name;
@@ -41,5 +47,27 @@ struct ShardStoreInput {
 [[nodiscard]] std::vector<std::uint8_t> mergeShardStores(
     const std::vector<ShardStoreInput>& stores,
     const campaign::MergedCampaign& plan);
+
+/// Where a merge writes its artifacts.
+struct MergeOutputs {
+  std::string journal;  ///< the merged journal
+  std::string store;    ///< the merged store; "" merges journals only
+  std::string gaps;     ///< partial merge manifest; "" = <journal>.gaps.json
+
+  /// Refuses a journal or store output that already exists: a merge is a
+  /// derived artifact, and silently clobbering a previous one is how
+  /// stale baselines are born.
+  void refuseExisting() const;
+};
+
+/// The merge writer of `merge`, `shard --merge-out` and `supervise
+/// --merge-out`: reads the shard journals (and, with `out.store`, the
+/// shard stores), merges them, and atomically writes the merged journal,
+/// the merged store and, for a partial merge, the gap manifest. Returns
+/// 0, or kPartialCampaignExitCode when the merge is partial.
+int writeMerge(const std::vector<std::string>& journals,
+               const std::vector<std::string>& stores,
+               const MergeOutputs& out,
+               const campaign::MergeOptions& options = {});
 
 }  // namespace nodebench::stats

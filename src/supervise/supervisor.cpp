@@ -1,34 +1,24 @@
 #include "supervise/supervisor.hpp"
 
-#include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
-#include <optional>
 #include <thread>
 #include <utility>
 
-#include "campaign/io.hpp"
-#include "campaign/journal.hpp"
-#include "core/cancel.hpp"
+#include "campaign/heartbeat.hpp"
 #include "core/deadline.hpp"
 #include "core/error.hpp"
-#include "faults/fault_plan.hpp"
 #include "report/reports.hpp"
-#include "report/tables.hpp"
-#include "stats/merge.hpp"
-#include "supervise/heartbeat.hpp"
 #include "supervise/journal.hpp"
 #include "supervise/lease.hpp"
 
@@ -129,79 +119,49 @@ void killStaleWorker(std::uint64_t pid64, const std::string& shardJournal) {
               " did not die within 5s of SIGKILL");
 }
 
-[[nodiscard]] bool fileExists(const std::string& path) {
-  struct stat st {};
-  return ::stat(path.c_str(), &st) == 0;
-}
-
 }  // namespace
 
-SuperviseResult runSupervise(const SuperviseOptions& options) {
-  if (options.table.empty()) {
-    throw Error("supervise requires a table selector");
-  }
+int runSupervise(const SuperviseOptions& options) {
+  const report::CampaignSpec& spec = options.campaign;
+  const std::uint32_t shards = spec.shards;
   // Resolved before the supervisor journal exists or any worker forks:
   // a bad selector would otherwise burn every attempt of every shard.
-  (void)report::selectReports(options.table);
-  if (options.shards == 0) {
-    throw Error("supervise requires --shards N (the shard count)");
-  }
-  if (options.shards > campaign::kMaxShardCount) {
-    throw Error("--shards must be at most " +
-                std::to_string(campaign::kMaxShardCount));
-  }
-  if (options.journalBase.empty()) {
-    throw Error("supervise requires --journal BASE (worker journals land "
-                "at BASE.shard<i>of<N>)");
-  }
+  (void)report::selectReports(spec.selector);
   if (options.maxAttempts == 0) {
     throw Error("--max-attempts must be at least 1");
   }
-  if (!options.mergeStoreOut.empty() && options.storeBase.empty()) {
-    throw Error("--merge-store-out requires --store BASE (the workers "
-                "must write shard stores to merge)");
-  }
-  if (!options.mergeStoreOut.empty() && options.mergeOut.empty()) {
-    throw Error("--merge-store-out requires --merge-out FILE");
-  }
-  if (options.heartbeatTimeoutMs <= options.heartbeatIntervalMs) {
+  if (options.heartbeatTimeoutMs <= spec.heartbeatIntervalMs) {
     throw Error("--heartbeat-timeout-ms must exceed "
                 "--heartbeat-interval-ms, or every healthy worker "
                 "would be expired between beats");
   }
 
   const std::uint32_t slots =
-      options.workers == 0 ? options.shards
-                           : std::min(options.workers, options.shards);
+      options.workers == 0 ? shards : std::min(options.workers, shards);
 
-  // The fingerprint the workers will stamp into their shard journals,
-  // derived exactly as `table` derives it so the supervisor journal,
-  // the backoff seed, and the worker artifacts all agree.
-  report::TableOptions topt;
-  std::optional<faults::FaultPlan> faultPlan;
-  if (!options.faultsPath.empty()) {
-    faultPlan = faults::FaultPlan::load(options.faultsPath);
-    topt.faults = &*faultPlan;
-  }
-  if (options.runs != 0) {
-    topt.binaryRuns = options.runs;
-  }
-  const campaign::CampaignConfig cfg = report::campaignConfig(topt);
+  // The supervisor journal and the backoff seed fingerprint the campaign
+  // as `table` opens it, less --jobs and the shard split, which the
+  // supervisor's own record has never carried.
+  report::CampaignSpec fingerprint;
+  fingerprint.runs = spec.runs;
+  fingerprint.faultsPath = spec.faultsPath;
+  const campaign::CampaignConfig cfg =
+      report::campaignConfig(report::OpenCampaign(fingerprint).options());
 
   SupervisorConfig scfg;
   scfg.campaign = cfg;
-  scfg.shards = options.shards;
+  scfg.shards = shards;
   scfg.maxAttempts = options.maxAttempts;
   scfg.backoffBaseMs = options.backoff.baseMs;
   scfg.backoffCapMs = options.backoff.capMs;
 
   const std::string supJournalPath =
       options.supervisorJournalPath.empty()
-          ? options.journalBase + ".supervisor"
+          ? spec.journal + ".supervisor"
           : options.supervisorJournalPath;
 
   std::unique_ptr<SupervisorJournal> journal;
-  if (options.resume) {
+  if (spec.resume) {
     journal = SupervisorJournal::resume(supJournalPath, scfg);
     for (const std::string& warning : journal->warnings()) {
       std::cerr << "nodebench supervise: warning: " << warning << "\n";
@@ -211,23 +171,17 @@ SuperviseResult runSupervise(const SuperviseOptions& options) {
   }
 
   WallClock clock;
-  LeaseScheduler sched(options.shards, options.maxAttempts, options.backoff,
-                       cfg);
+  LeaseScheduler sched(shards, options.maxAttempts, options.backoff, cfg);
 
   // Per-shard file paths, fixed for the campaign's lifetime.
-  std::vector<std::string> journalPaths(options.shards);
-  std::vector<std::string> storePaths(options.shards);
-  std::vector<std::string> hbPaths(options.shards);
-  for (std::uint32_t i = 0; i < options.shards; ++i) {
-    const campaign::ShardSpec spec{i, options.shards};
-    journalPaths[i] = campaign::shardPath(options.journalBase, spec);
-    if (!options.storeBase.empty()) {
-      storePaths[i] = campaign::shardPath(options.storeBase, spec);
-    }
-    hbPaths[i] = heartbeatPath(journalPaths[i]);
+  const std::vector<std::string> journalPaths = spec.shardFiles(spec.journal);
+  const std::vector<std::string> storePaths = spec.shardFiles(spec.store);
+  std::vector<std::string> hbPaths;
+  for (const std::string& path : journalPaths) {
+    hbPaths.push_back(campaign::heartbeatPath(path));
   }
 
-  if (options.resume) {
+  if (spec.resume) {
     sched.replay(journal->events(), clock.nowMs());
     std::cerr << "nodebench supervise: resuming campaign from "
               << supJournalPath << " (" << journal->events().size()
@@ -237,7 +191,7 @@ SuperviseResult runSupervise(const SuperviseOptions& options) {
     // against pid reuse), then release the lease: the attempt was never
     // adjudicated, so it is un-burned and the shard re-runs from the
     // worker's crash-safe journal.
-    for (std::uint32_t i = 0; i < options.shards; ++i) {
+    for (std::uint32_t i = 0; i < shards; ++i) {
       if (sched.lease(i).state != ShardState::Leased) {
         continue;
       }
@@ -245,7 +199,7 @@ SuperviseResult runSupervise(const SuperviseOptions& options) {
       // The journalled pid can lag reality by one fork (the previous
       // supervisor died between fork and append); the heartbeat file
       // names whoever actually beat last.
-      if (const auto beat = readHeartbeatFile(hbPaths[i])) {
+      if (const auto beat = campaign::readHeartbeatFile(hbPaths[i])) {
         if (beat->pid != sched.lease(i).pid) {
           killStaleWorker(beat->pid, journalPaths[i]);
         }
@@ -265,7 +219,7 @@ SuperviseResult runSupervise(const SuperviseOptions& options) {
     return "to:" + std::to_string(shard);
   };
 
-  const auto drain = [&]() -> SuperviseResult {
+  const auto drain = [&] {
     std::cerr << "nodebench supervise: interrupted; draining "
               << running.size() << " worker(s)\n";
     for (const auto& [pid, worker] : running) {
@@ -278,85 +232,24 @@ SuperviseResult runSupervise(const SuperviseOptions& options) {
     // The in-flight leases stay journalled as bare AttemptStarted
     // events: --resume releases them without burning the attempt,
     // exactly the supervisor-crash semantics.
-    SuperviseResult result;
-    result.exitCode = kInterruptedExitCode;
-    return result;
+    return kInterruptedExitCode;
   };
 
   const auto launch = [&](std::uint32_t shard) {
     const std::uint32_t attempt = sched.lease(shard).attempts;
-    const campaign::ShardSpec spec{shard, options.shards};
-    std::vector<std::string> workerArgs = {
-        "nodebench",
-        "table",
-        options.table,
-        "--shard",
-        campaign::shardSpecText(spec),
-        "--journal",
-        journalPaths[shard],
-        "--heartbeat",
-        hbPaths[shard],
-        "--heartbeat-interval-ms",
-        std::to_string(options.heartbeatIntervalMs)};
-    if (!options.storeBase.empty()) {
-      workerArgs.push_back("--store");
-      workerArgs.push_back(storePaths[shard]);
-    }
-    if (options.runs != 0) {
-      workerArgs.push_back("--runs");
-      workerArgs.push_back(std::to_string(options.runs));
-    }
-    if (options.jobs != 0) {
-      workerArgs.push_back("--jobs");
-      workerArgs.push_back(std::to_string(options.jobs));
-    }
-    if (!options.faultsPath.empty()) {
-      workerArgs.push_back("--faults");
-      workerArgs.push_back(options.faultsPath);
-    }
-    if (options.testCellDelayMs != 0) {
-      workerArgs.push_back("--test-cell-delay-ms");
-      workerArgs.push_back(std::to_string(options.testCellDelayMs));
-    }
-    if (options.testPoisonShard >= 0 &&
-        static_cast<std::uint32_t>(options.testPoisonShard) == shard) {
-      workerArgs.push_back("--test-fail-run");
-    }
-    if (options.testStallShard >= 0 &&
-        static_cast<std::uint32_t>(options.testStallShard) == shard &&
-        attempt == 1) {
-      workerArgs.push_back("--test-heartbeat-stall-after");
-      workerArgs.push_back("1");
-    }
+    // The chaos hooks poison every attempt of one shard, or stall the
+    // first attempt's heartbeat of another.
+    const auto index = static_cast<int>(shard);
+    report::TestHooks hooks;
+    hooks.cellDelayMs = spec.hooks.cellDelayMs;
+    hooks.failRun = spec.hooks.poisonShard == index;
+    hooks.heartbeatStallAfter =
+        spec.hooks.stallShard == index && attempt == 1 ? 1 : 0;
     // A retry (or a resumed campaign) picks up the dead worker's
     // crash-safe journal instead of re-measuring finished cells.
-    if (fileExists(journalPaths[shard])) {
-      workerArgs.push_back("--resume");
-    }
-
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      throw Error(std::string("fork failed: ") + std::strerror(errno));
-    }
-    if (pid == 0) {
-      // Worker: discard stdout (the deliverable is the shard journal),
-      // keep stderr, become `nodebench table ... --shard i/N`.
-      const int devnull = ::open("/dev/null", O_WRONLY);
-      if (devnull >= 0) {
-        ::dup2(devnull, STDOUT_FILENO);
-        ::close(devnull);
-      }
-      std::vector<char*> argvC;
-      argvC.reserve(workerArgs.size() + 1);
-      for (std::string& s : workerArgs) {
-        argvC.push_back(s.data());
-      }
-      argvC.push_back(nullptr);
-      ::execv("/proc/self/exe", argvC.data());
-      std::fprintf(stderr, "nodebench supervise: exec failed: %s\n",
-                   std::strerror(errno));
-      std::_Exit(127);
-    }
+    const bool resume = std::filesystem::exists(journalPaths[shard]);
+    const pid_t pid = report::spawnWorker(
+        spec.workerArgv(shard, resume, hooks, /*heartbeatWorker=*/true));
 
     sched.bind(shard, static_cast<std::uint64_t>(pid));
     SupervisorEvent event;
@@ -378,13 +271,14 @@ SuperviseResult runSupervise(const SuperviseOptions& options) {
     if (options.attemptTimeoutMs != 0) {
       monitor.arm(toKey(shard), clock.at(now + options.attemptTimeoutMs));
     }
-    std::cerr << "nodebench supervise: shard " << campaign::shardSpecText(spec)
+    std::cerr << "nodebench supervise: shard "
+              << campaign::shardSpecText(campaign::ShardSpec{shard, shards})
               << " attempt " << attempt << " (pid " << pid << ") -> "
               << journalPaths[shard] << "\n";
   };
 
   while (!sched.allResolved()) {
-    if (options.stopFlag != nullptr && *options.stopFlag != 0) {
+    if (options.stopFlag != nullptr && options.stopFlag->requested()) {
       return drain();
     }
 
@@ -470,7 +364,7 @@ SuperviseResult runSupervise(const SuperviseOptions& options) {
     // the shard's expiry deadline. Beats from a previous attempt's pid
     // are ignored (a stale file is silence, not liveness).
     for (auto& [pid, worker] : running) {
-      const auto beat = readHeartbeatFile(hbPaths[worker.shard]);
+      const auto beat = campaign::readHeartbeatFile(hbPaths[worker.shard]);
       if (beat && beat->pid == static_cast<std::uint64_t>(worker.pid) &&
           beat->seq > worker.lastSeq) {
         worker.lastSeq = beat->seq;
@@ -517,82 +411,41 @@ SuperviseResult runSupervise(const SuperviseOptions& options) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
 
-  SuperviseResult result;
-  result.quarantined = sched.quarantined();
+  campaign::MergeOptions mopt;
+  mopt.quarantined = sched.quarantined();
+  mopt.allowPartial = !mopt.quarantined.empty();
+  const int exitCode = mopt.allowPartial ? stats::kPartialCampaignExitCode : 0;
+  for (const campaign::ShardGap& gap : mopt.quarantined) {
+    std::cerr << "nodebench supervise: shard " << gap.shard
+              << " quarantined after " << gap.attempts
+              << " failed attempt(s); last incident: " << gap.lastIncident
+              << "\n";
+  }
   const std::vector<std::uint32_t> done = sched.doneShards();
 
-  if (!result.quarantined.empty()) {
-    result.exitCode = kPartialCampaignExitCode;
-    for (const campaign::ShardGap& gap : result.quarantined) {
-      std::cerr << "nodebench supervise: shard " << gap.shard
-                << " quarantined after " << gap.attempts
-                << " failed attempt(s); last incident: " << gap.lastIncident
-                << "\n";
-    }
-  }
-
-  if (options.mergeOut.empty()) {
+  if (options.merge.journal.empty()) {
     std::cerr << "nodebench supervise: campaign resolved: " << done.size()
-              << " shard(s) done, " << result.quarantined.size()
-              << " quarantined; journals at " << options.journalBase
-              << ".shard*of" << options.shards << "\n";
-    return result;
+              << " shard(s) done, " << mopt.quarantined.size()
+              << " quarantined; journals at " << spec.journal
+              << ".shard*of" << shards << "\n";
+    return exitCode;
   }
 
   if (done.empty()) {
     std::cerr << "nodebench supervise: every shard is quarantined; "
                  "nothing to merge\n";
-    return result;
+    return exitCode;
   }
 
-  std::vector<campaign::ShardInput> inputs;
-  inputs.reserve(done.size());
+  std::vector<std::string> doneJournals;
+  std::vector<std::string> doneStores;
   for (const std::uint32_t shard : done) {
-    inputs.push_back(campaign::readShardInput(journalPaths[shard]));
+    doneJournals.push_back(journalPaths[shard]);
+    doneStores.push_back(storePaths[shard]);
   }
-  campaign::MergeOptions mopt;
-  mopt.allowPartial = !result.quarantined.empty();
-  mopt.quarantined = result.quarantined;
-  const campaign::MergedCampaign merged =
-      campaign::mergeShardJournals(inputs, mopt);
-  campaign::io::atomicWrite(options.mergeOut, merged.journalBytes,
-                            "supervise merge");
-  std::cout << "merged " << inputs.size() << " shard journal(s) -> "
-            << options.mergeOut << "\n";
-
-  if (!options.mergeStoreOut.empty()) {
-    std::vector<stats::ShardStoreInput> stores;
-    stores.reserve(done.size());
-    for (const std::uint32_t shard : done) {
-      stores.push_back(stats::loadShardStoreInput(storePaths[shard]));
-    }
-    const std::vector<std::uint8_t> bytes =
-        stats::mergeShardStores(stores, merged);
-    campaign::io::atomicWrite(options.mergeStoreOut, bytes,
-                              "supervise merge");
-    std::cout << "merged " << stores.size() << " shard store(s) -> "
-              << options.mergeStoreOut << "\n";
-  }
-
-  if (merged.partial) {
-    const std::string gapPath = options.gapOut.empty()
-                                    ? options.mergeOut + ".gaps.json"
-                                    : options.gapOut;
-    const std::string manifest = campaign::renderGapManifest(merged);
-    campaign::io::atomicWrite(
-        gapPath,
-        std::span<const std::uint8_t>(
-            reinterpret_cast<const std::uint8_t*>(manifest.data()),
-            manifest.size()),
-        "gap manifest");
-    std::cerr << "nodebench supervise: PARTIAL merge: "
-              << merged.missingCells.size() << " cell(s) from "
-              << merged.missingShards.size()
-              << " quarantined shard(s) are missing; gap manifest at "
-              << gapPath << "\n";
-  }
-
-  return result;
+  // Re-merges over its own earlier outputs: a --resume after a kill
+  // between the two merge writes must be able to finish them.
+  return stats::writeMerge(doneJournals, doneStores, options.merge, mopt);
 }
 
 }  // namespace nodebench::supervise

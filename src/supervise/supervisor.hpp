@@ -31,65 +31,44 @@
 /// (journals, stores, heartbeats, leases) is a file, so the protocol is
 /// host-agnostic by construction.
 
-#include <csignal>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "campaign/shard.hpp"
+#include "core/cancel.hpp"
+#include "report/campaign_spec.hpp"
+#include "stats/merge.hpp"
 #include "supervise/backoff.hpp"
 
 namespace nodebench::supervise {
 
-/// Exit code of a supervised campaign that completed with poisoned
-/// shards: the merged artifacts are partial (see the gap manifest).
-/// Distinct from success (0), generic failure (1), and interruption
-/// (43), so scripts can tell "partial but explicit" from everything
-/// else.
-inline constexpr int kPartialCampaignExitCode = 44;
-
 struct SuperviseOptions {
-  std::string table;        ///< table selector ("4", "all", ...)
-  std::uint32_t shards = 0;
+  /// The campaign the workers measure: selector, `shards`, the journal
+  /// and store BASEs, runs, jobs, fault plan, resume, the workers' beat
+  /// interval and the chaos hooks.
+  report::CampaignSpec campaign;
   /// Concurrent worker slots (the bounded lease pool); 0 = one slot per
   /// shard (full fan-out, the shard driver's behaviour).
   std::uint32_t workers = 0;
-  std::string journalBase;  ///< workers journal to BASE.shard<i>of<N>
-  std::string storeBase;    ///< optional shard stores
-  std::string supervisorJournalPath;  ///< default: journalBase + ".supervisor"
-  std::uint32_t runs = 0;   ///< 0 = table default
-  std::uint32_t jobs = 0;   ///< per-worker --jobs; 0 = worker default
-  std::string faultsPath;
+  std::string supervisorJournalPath;  ///< default: journal BASE + ".supervisor"
   std::uint32_t maxAttempts = 3;
   BackoffPolicy backoff;
-  std::uint32_t heartbeatIntervalMs = 100;
   std::uint32_t heartbeatTimeoutMs = 5000;
   std::uint32_t attemptTimeoutMs = 0;  ///< 0 = no wall-clock straggler cap
-  bool resume = false;
-  std::string mergeOut;       ///< merged journal path ("" = skip merge)
-  std::string mergeStoreOut;  ///< merged store path (requires storeBase)
-  std::string gapOut;         ///< gap manifest path; default mergeOut + ".gaps.json"
-  std::uint32_t testCellDelayMs = 0;  ///< forwarded test hook
-  /// Test hook: workers for this shard run `--test-fail-run` (fail after
-  /// opening the journal), deterministically poisoning the shard.
-  std::int64_t testPoisonShard = -1;
-  /// Test hook: this shard's *first* attempt stalls its heartbeat after
-  /// one beat, forcing a heartbeat expiry + reassignment.
-  std::int64_t testStallShard = -1;
-  /// Set by the CLI's SIGINT/SIGTERM handler; the event loop polls it
-  /// and drains (SIGTERM to workers, exit 43). nullptr = no signal
-  /// integration (tests).
-  const volatile std::sig_atomic_t* stopFlag = nullptr;
+  /// Merged journal, store and gap manifest; an empty journal path skips
+  /// the merge.
+  stats::MergeOutputs merge;
+  /// Set by SIGINT/SIGTERM; the event loop polls it and drains (SIGTERM
+  /// to workers, exit 43). nullptr = no signal integration (tests).
+  const CancelToken* stopFlag = nullptr;
 };
 
-struct SuperviseResult {
-  int exitCode = 0;  ///< 0, kInterruptedExitCode, or kPartialCampaignExitCode
-  std::vector<campaign::ShardGap> quarantined;  ///< poisoned shards
-};
-
-/// Runs the supervised campaign to completion (or interruption). Throws
+/// Runs the supervised campaign to completion (or interruption) and
+/// returns its exit code: 0, kInterruptedExitCode, or
+/// stats::kPartialCampaignExitCode when shards were quarantined. Throws
 /// Error on configuration problems; worker failures are not exceptions,
 /// they are the job.
-[[nodiscard]] SuperviseResult runSupervise(const SuperviseOptions& options);
+[[nodiscard]] int runSupervise(const SuperviseOptions& options);
 
 }  // namespace nodebench::supervise

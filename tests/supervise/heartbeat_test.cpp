@@ -4,7 +4,7 @@
 /// HeartbeatWriter (including its stall-after-N test hook — the lever
 /// the chaos suite uses to fake a wedged worker).
 
-#include "supervise/heartbeat.hpp"
+#include "campaign/heartbeat.hpp"
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,7 @@
 
 #include "../shard/shard_test_util.hpp"
 
-namespace nodebench::supervise {
+namespace nodebench::campaign {
 namespace {
 
 using shardtest::ScratchDir;
@@ -100,4 +100,4 @@ TEST(Heartbeat, StallAfterHookFreezesTheSequence) {
 }
 
 }  // namespace
-}  // namespace nodebench::supervise
+}  // namespace nodebench::campaign

@@ -46,6 +46,10 @@
 #    recorded-trace invariants, the --jobs byte-identity of the exports
 #    (TraceDeterminism) and the golden traced output of Tables 4-6
 #    (TraceGolden, against tests/trace/golden/).
+#  - cli: the command line (src/cli + tests/cli/): every command's flag
+#    table against usage(), worker argv parsed back through the `table`
+#    flag table, and every CLI ctest, the refusals of malformed command
+#    lines included.
 #  - simcore: scheduler-mode and closed-form fast-path determinism
 #    cross-checks (tests/simcore/), then the simulation-core
 #    microbenchmarks dumped to <build>/BENCH_simcore.json, then a gate
@@ -119,6 +123,10 @@ fi
 echo
 echo "== trace suite (trace layer: determinism + golden traced output) =="
 ctest --test-dir "${build_dir}" -L trace --output-on-failure
+
+echo
+echo "== cli suite (flag tables, worker argv, refusals) =="
+ctest --test-dir "${build_dir}" -L cli --output-on-failure
 
 echo
 echo "== simcore suite (scheduler modes + fast-path determinism) =="
