@@ -382,6 +382,16 @@ int openForAppend(const std::string& path, const char* label) {
 
 }  // namespace
 
+FramedLogFile::FramedLogFile(const char* label, std::string path, int fd,
+                             std::uint64_t size, bool synced)
+    : label_(label),
+      path_(std::move(path)),
+      fd_(fd),
+      size_(size),
+      committed_(size),
+      synced_(synced),
+      lastCommit_(std::chrono::steady_clock::now()) {}
+
 FramedLogFile FramedLogFile::create(const FramedLogFormat& format,
                                     const std::string& path,
                                     std::span<const std::uint8_t> header) {
@@ -392,25 +402,30 @@ FramedLogFile FramedLogFile::create(const FramedLogFormat& format,
                 "remove the file to start fresh)");
   }
   io::atomicWrite(path, header, format.label);
-  return FramedLogFile(format.label, path,
-                       openForAppend(path, format.label));
+  return FramedLogFile(format.label, path, openForAppend(path, format.label),
+                       header.size(), /*synced=*/true);
 }
 
 FramedLogFile FramedLogFile::reopen(const FramedLogFormat& format,
                                     const std::string& path,
                                     std::span<const std::uint8_t> fileBytes,
                                     std::size_t validBytes) {
-  if (validBytes < fileBytes.size()) {
+  const bool rewrite = validBytes < fileBytes.size();
+  if (rewrite) {
     io::atomicWrite(path, fileBytes.first(validBytes), format.label);
   }
-  return FramedLogFile(format.label, path,
-                       openForAppend(path, format.label));
+  return FramedLogFile(format.label, path, openForAppend(path, format.label),
+                       validBytes, /*synced=*/rewrite);
 }
 
 FramedLogFile::FramedLogFile(FramedLogFile&& other) noexcept
     : label_(other.label_),
       path_(std::move(other.path_)),
-      fd_(std::exchange(other.fd_, -1)) {}
+      fd_(std::exchange(other.fd_, -1)),
+      size_(other.size_),
+      committed_(other.committed_),
+      synced_(other.synced_),
+      lastCommit_(other.lastCommit_) {}
 
 FramedLogFile::~FramedLogFile() {
   if (fd_ >= 0) {
@@ -419,7 +434,28 @@ FramedLogFile::~FramedLogFile() {
 }
 
 void FramedLogFile::append(std::span<const std::uint8_t> frame) {
-  io::appendDurable(fd_, frame, path_, label_);
+  if (!synced_ &&
+      std::chrono::steady_clock::now() - lastCommit_ >= kCommitWindow) {
+    commit();
+  }
+  io::appendWithRollback(fd_, size_, frame, path_, label_);
+  size_ += frame.size();
+  synced_ = false;
+}
+
+void FramedLogFile::commit() {
+  if (synced_) {
+    return;
+  }
+  try {
+    io::syncWithRollback(fd_, committed_, path_, label_);
+  } catch (...) {
+    size_ = committed_;
+    throw;
+  }
+  committed_ = size_;
+  synced_ = true;
+  lastCommit_ = std::chrono::steady_clock::now();
 }
 
 }  // namespace nodebench::campaign

@@ -16,14 +16,18 @@
 /// diagnostic noun, frame and file caps, tail policy, error type) plus
 /// the format's own record payload schema; everything else lives here:
 /// the frame encoder, the capped file reader, the decode loop, the
-/// create / reopen / torn-tail-rewrite lifecycle over `io::atomicWrite`
-/// and `io::appendDurable`, and the configuration mismatch describer.
-/// DESIGN.md §10 "Framed logs" tabulates the three descriptors.
+/// create / reopen / torn-tail-rewrite lifecycle over `io::atomicWrite`,
+/// group commit (`FramedLogFile::append` writes a frame,
+/// `FramedLogFile::commit` fsyncs what was written since the last
+/// commit) and the configuration mismatch describer. DESIGN.md §10
+/// "Framed logs" tabulates the three descriptors and "Durability
+/// invariants" states the commit contract.
 ///
 /// The payload primitives live here too: `PayloadWriter` and the
 /// bounds-checked `PayloadReader` serialize every header, record, shard
 /// manifest and journalled cell value.
 
+#include <chrono>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -193,11 +197,21 @@ struct DecodedLog {
     const FramedLogFormat& format, const CampaignConfig& recorded,
     const CampaignConfig& current);
 
-/// The append side of one log file: an O_APPEND descriptor whose every
-/// append is one durable write (io::appendDurable: write + fsync,
-/// truncated back on failure). Callers serialize appends.
+/// The append side of one log file, with group commit. `append` writes
+/// one frame to the file before it returns, so a killed process loses
+/// nothing and every reader sees the frame; it does not fsync. `commit`
+/// makes everything appended so far durable with one fsync. A log also
+/// commits on its own at the first append at least `kCommitWindow` after
+/// its last commit, before writing that append's frame; an owner commits
+/// explicitly before it reports the campaign intact. Destroying the
+/// handle does not commit. Callers serialize appends and commits.
 class FramedLogFile {
  public:
+  /// The longest a written frame waits for a commit while appends keep
+  /// coming: what a power loss (not a kill) can take from a running
+  /// campaign, and all of it is re-measured on resume.
+  static constexpr std::chrono::milliseconds kCommitWindow{100};
+
   /// Writes `header` as a fresh file at `path` (temp, fsync, rename) and
   /// opens it for appending. Refuses to overwrite an existing file —
   /// resuming must be an explicit decision (`--resume`), not an accident.
@@ -208,7 +222,9 @@ class FramedLogFile {
   /// Reopens `path` for appending. `fileBytes` is the file as read and
   /// `validBytes` its decoded valid prefix; a torn tail beyond it is
   /// first cut off by atomically rewriting the prefix, so the append
-  /// stream continues from a clean frame boundary.
+  /// stream continues from a clean frame boundary. A prefix that was not
+  /// rewritten may not be on disk yet (its writer was killed before a
+  /// commit), so the next commit fsyncs it.
   [[nodiscard]] static FramedLogFile reopen(
       const FramedLogFormat& format, const std::string& path,
       std::span<const std::uint8_t> fileBytes, std::size_t validBytes);
@@ -217,16 +233,26 @@ class FramedLogFile {
   FramedLogFile& operator=(FramedLogFile&&) = delete;
   ~FramedLogFile();
 
-  /// Appends one encoded frame durably.
+  /// Commits first when the window has passed, then writes one encoded
+  /// frame (truncated back on a failed write).
   void append(std::span<const std::uint8_t> frame);
 
+  /// fsyncs everything appended since the last commit; a no-op when
+  /// nothing was. On failure the file is truncated back to its last
+  /// commit and Error("<noun> fsync failed: <path>: <errno>") propagates.
+  void commit();
+
  private:
-  FramedLogFile(const char* label, std::string path, int fd)
-      : label_(label), path_(std::move(path)), fd_(fd) {}
+  FramedLogFile(const char* label, std::string path, int fd,
+                std::uint64_t size, bool synced);
 
   const char* label_;
   std::string path_;
   int fd_;
+  std::uint64_t size_;       ///< Bytes in the file.
+  std::uint64_t committed_;  ///< Bytes in the file at the last commit.
+  bool synced_;              ///< Every byte of the file is on disk.
+  std::chrono::steady_clock::time_point lastCommit_;
 };
 
 }  // namespace nodebench::campaign

@@ -46,6 +46,17 @@ bool faultFires(IoOp op) {
   return true;
 }
 
+/// Truncates the file back to `length` after `failure`; throws `failure`
+/// extended with the truncate's own error if that fails too.
+void rollBack(int fd, std::uint64_t length, const Error& failure) {
+  if (::ftruncate(fd, static_cast<off_t>(length)) != 0) {
+    throw Error(std::string(failure.what()) +
+                "; rollback truncate also failed: " + errnoText() +
+                " (the file may carry a torn trailing frame)");
+  }
+  (void)::fsync(fd);
+}
+
 }  // namespace
 
 void setIoFailure(IoOp op, int afterCalls, int errnoValue) {
@@ -152,26 +163,23 @@ void atomicWrite(const std::string& path, std::span<const std::uint8_t> content,
   syncParentDir(path);
 }
 
-void appendDurable(int fd, std::span<const std::uint8_t> bytes,
-                   const std::string& path, const char* what) {
-  const off_t end = ::lseek(fd, 0, SEEK_END);
-  if (end < 0) {
-    throw Error(std::string(what) + " append failed: " + path +
-                ": cannot seek to end: " + errnoText());
-  }
+void appendWithRollback(int fd, std::uint64_t end,
+                        std::span<const std::uint8_t> bytes,
+                        const std::string& path, const char* what) {
   try {
     writeAll(fd, bytes, path, what);
+  } catch (const Error& e) {
+    rollBack(fd, end, e);
+    throw;
+  }
+}
+
+void syncWithRollback(int fd, std::uint64_t committed, const std::string& path,
+                      const char* what) {
+  try {
     fsyncOrThrow(fd, path, what);
   } catch (const Error& e) {
-    // Roll the file back to its pre-append length so no torn frame
-    // survives the failure; the in-memory index was not updated either,
-    // so the writer and the file stay consistent.
-    if (::ftruncate(fd, end) != 0) {
-      throw Error(std::string(e.what()) +
-                  "; rollback truncate also failed: " + errnoText() +
-                  " (the file may carry a torn trailing frame)");
-    }
-    (void)::fsync(fd);
+    rollBack(fd, committed, e);
     throw;
   }
 }

@@ -5,14 +5,17 @@
 ///
 /// Before this file, journal.cpp and store.cpp each carried their own
 /// copies of write-fully / fsync-or-throw / atomic-replace. Centralizing
-/// them buys two robustness properties both writers need:
+/// them buys two robustness properties every writer needs:
 ///
-///  - **Append rollback.** `appendDurable` remembers the file's end
-///    offset before writing and, when the write or fsync fails midway
-///    (ENOSPC, EIO), truncates the file back to that offset before
-///    rethrowing. A failed append therefore *never* leaves a torn frame
-///    behind: the journal needs no torn-tail recovery on the next resume
-///    and the strict store decoder keeps accepting the file.
+///  - **Rollback.** Appending and making durable are separate steps
+///    (group commit, DESIGN.md §10): `appendWithRollback` writes a frame
+///    without syncing it, and `syncWithRollback` fsyncs everything
+///    written since the last commit. Each one truncates the file back
+///    to the length it was given when it fails (ENOSPC, EIO): a failed
+///    write leaves no torn frame behind, and a failed fsync leaves
+///    exactly the bytes of the last successful commit, the ones known
+///    to be on disk. The strict store decoder keeps accepting the file
+///    either way.
 ///  - **I/O fault injection.** A test-only shim (`setIoFailure`) makes
 ///    the Nth subsequent write or fsync fail with a chosen errno —
 ///    optionally after a partial write, the worst case rollback must
@@ -46,14 +49,23 @@ void syncParentDir(const std::string& path);
 void atomicWrite(const std::string& path, std::span<const std::uint8_t> content,
                  const char* what);
 
-/// Durable append with rollback: seeks to the end, writes `bytes`,
-/// fsyncs. If any step fails the file is truncated back to its
-/// pre-append length before the error propagates, so the on-disk record
-/// stream is never left with a torn frame. (If even the rollback
-/// truncate fails the error says so — the caller then knows the tail is
-/// suspect and the torn-tail recovery path applies.)
-void appendDurable(int fd, std::span<const std::uint8_t> bytes,
-                   const std::string& path, const char* what);
+/// Append with rollback: writes `bytes` at the end of the file, whose
+/// length is `end` (the descriptor is O_APPEND). Does not fsync. If the
+/// write fails the file is truncated back to `end` before the error
+/// propagates, so the record stream is never left with a torn frame.
+/// (If even the rollback truncate fails the error says so — the caller
+/// then knows the tail is suspect and the torn-tail recovery path
+/// applies.)
+void appendWithRollback(int fd, std::uint64_t end,
+                        std::span<const std::uint8_t> bytes,
+                        const std::string& path, const char* what);
+
+/// Commit with rollback: fsyncs the file. If the fsync fails, the file
+/// is truncated back to `committed`, its length at the last successful
+/// commit, before Error("<what> fsync failed: ...") propagates: what
+/// stays is what is known to be on disk.
+void syncWithRollback(int fd, std::uint64_t committed, const std::string& path,
+                      const char* what);
 
 // --- test-only fault injection ----------------------------------------------
 

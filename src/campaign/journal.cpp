@@ -183,10 +183,16 @@ void Journal::append(CellRecord record) {
   if (crashAfter_ >= 0 &&
       appended_ >= static_cast<std::size_t>(crashAfter_)) {
     // Crash-injection hook: simulate an operator kill / OOM at an
-    // arbitrary campaign point. The record just written is durable
-    // (fsync above); everything in flight is lost, as in a real crash.
+    // arbitrary campaign point. The record just written is in the file
+    // but not committed; everything in flight is lost, as in a real
+    // crash.
     std::_Exit(kCrashExitCode);
   }
+}
+
+void Journal::commit() {
+  const std::lock_guard<std::mutex> lock(mu_);
+  file_.commit();
 }
 
 std::size_t Journal::recordCount() const {

@@ -19,10 +19,13 @@
 ///    a different configuration is refused with a diagnostic naming the
 ///    mismatched parameter — silently mixing configurations is exactly
 ///    the reproducibility failure the journal exists to prevent.
-///  - **Atomic creation** (write temp, fsync, rename) and per-record
-///    fsync on append, so a kill at any byte boundary leaves a file the
-///    reader recovers from: the valid record prefix replays, the torn
-///    tail is truncated with a warning (never an abort).
+///  - **Atomic creation** (write temp, fsync, rename) and group commit:
+///    every append writes its record before it returns, and `commit()`
+///    (or the framed log's commit window) fsyncs them. A kill at any
+///    byte boundary leaves a file the reader recovers from: the valid
+///    record prefix replays, the torn tail is truncated with a warning
+///    (never an abort). A power loss can also take what was written
+///    after the last commit; those cells are re-measured.
 ///  - **Deterministic replay.** Record payloads store result values as
 ///    exact IEEE-754 bit patterns, so a resumed campaign's tables are
 ///    byte-identical to an uninterrupted run at any `--jobs` value.
@@ -134,10 +137,17 @@ class Journal {
   [[nodiscard]] const CellRecord* find(std::string_view machine,
                                        std::string_view cell) const;
 
-  /// Appends one completed cell: CRC-framed write + fsync, then the
+  /// Appends one completed cell: CRC-framed write (no fsync), then the
   /// in-memory index. Idempotent — a key that is already journalled
   /// (e.g. `table all` computing Table 5 twice) is not re-appended.
   void append(CellRecord record);
+
+  /// Makes every appended record durable (one fsync; a no-op when
+  /// nothing was appended since the last commit). Throws
+  /// Error("journal fsync failed: <path>: <errno>") after truncating the
+  /// file back to its last commit; the index then runs ahead of the
+  /// file, so the owner abandons the run.
+  void commit();
 
   [[nodiscard]] const CampaignConfig& config() const { return config_; }
   [[nodiscard]] std::size_t recordCount() const;
@@ -150,10 +160,10 @@ class Journal {
     return warnings_;
   }
 
-  /// Crash-injection test hook (`table --crash-after-cell N`): after the
-  /// Nth append of this process the journal fsyncs and terminates the
-  /// process immediately (exit code 42), simulating an operator kill at
-  /// an arbitrary campaign point.
+  /// Crash-injection test hook (`table --crash-after-cell N`): right
+  /// after the Nth append of this process has written its record, and
+  /// before anything commits it, the journal terminates the process
+  /// (exit code 42): an operator kill between a write and its fsync.
   void setCrashAfterAppends(int n) { crashAfter_ = n; }
   static constexpr int kCrashExitCode = 42;
 

@@ -219,17 +219,20 @@ int cmdTable(const Parsed& args) {
   // selector leaves nothing behind.
   const std::span<const report::Report> reports =
       report::selectReports(spec.selector);
-  const report::OpenCampaign opened(spec);
-  report::ReportRun run(opened.options());
-  for (const report::Report& r : reports) {
-    std::cout << r.render(run).ascii() << '\n';
-  }
-  // Fault-free runs collect no incidents, so stdout stays byte-identical
-  // to the pre-resilience harness.
-  const std::string diagnostics = report::renderDiagnostics(run.incidents());
-  if (!diagnostics.empty()) {
-    std::cout << diagnostics;
-  }
+  report::OpenCampaign opened(spec);
+  opened.run([&](const report::TableOptions& opt) {
+    report::ReportRun run(opt);
+    for (const report::Report& r : reports) {
+      std::cout << r.render(run).ascii() << '\n';
+    }
+    // Fault-free runs collect no incidents, so stdout stays byte-identical
+    // to the pre-resilience harness.
+    const std::string diagnostics =
+        report::renderDiagnostics(run.incidents());
+    if (!diagnostics.empty()) {
+      std::cout << diagnostics;
+    }
+  });
   return 0;
 }
 
@@ -427,11 +430,13 @@ int cmdExport(const Parsed& args) {
   }
   std::string dir = "nodebench-export";
   args.read("--dir", dir);
-  const report::OpenCampaign opened(CampaignSpec::parse(args));
-  const auto manifest = report::exportAllTables(dir, opened.options());
-  for (const auto& path : manifest.written) {
-    std::cout << "wrote " << path.string() << "\n";
-  }
+  report::OpenCampaign opened(CampaignSpec::parse(args));
+  opened.run([&](const report::TableOptions& opt) {
+    const auto manifest = report::exportAllTables(dir, opt);
+    for (const auto& path : manifest.written) {
+      std::cout << "wrote " << path.string() << "\n";
+    }
+  });
   return 0;
 }
 

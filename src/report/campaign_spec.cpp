@@ -213,6 +213,9 @@ OpenCampaign::OpenCampaign(const CampaignSpec& spec) {
   }
   if (!spec.store.empty()) {
     store_ = stats::ResultStore::attach(spec.store, cfg, spec.resume);
+    for (const std::string& warning : store_->warnings()) {
+      std::cerr << "nodebench: warning: " << warning << "\n";
+    }
     if (spec.resume && store_->recordCount() > 0) {
       std::cerr << "nodebench: reattaching results store " << spec.store
                 << " (" << store_->recordCount()
@@ -236,6 +239,25 @@ OpenCampaign::OpenCampaign(const CampaignSpec& spec) {
     // has real artifacts to resume, as a mid-campaign crash leaves.
     throw Error("test failure injected by --test-fail-run");
   }
+}
+
+void OpenCampaign::run(
+    const std::function<void(const TableOptions&)>& measure) {
+  const auto commit = [&] {
+    if (store_) {
+      store_->commit();
+    }
+    if (journal_) {
+      journal_->commit();
+    }
+  };
+  try {
+    measure(options_);
+  } catch (const CancelledError&) {
+    commit();
+    throw;
+  }
+  commit();
 }
 
 }  // namespace nodebench::report

@@ -16,6 +16,7 @@
 #include <sys/types.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -115,6 +116,14 @@ class OpenCampaign {
   OpenCampaign& operator=(const OpenCampaign&) = delete;
 
   [[nodiscard]] const TableOptions& options() const { return options_; }
+
+  /// Runs `measure` on options(), then commits the store and the journal
+  /// — also when `measure` is cancelled, before the CancelledError that
+  /// becomes exit 43 propagates. So an exit 0 or 43 (what `shard` and
+  /// `supervise` read as a worker's verdict) leaves every measured cell
+  /// durable. A failed commit throws `<noun> fsync failed: <path>:
+  /// <errno>` instead (exit 1).
+  void run(const std::function<void(const TableOptions&)>& measure);
 
  private:
   std::optional<faults::FaultPlan> plan_;

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "campaign/shard.hpp"
+#include "core/error.hpp"
 #include "core/parallel.hpp"
 #include "core/samples.hpp"
 #include "faults/fault_plan.hpp"
@@ -30,6 +31,9 @@
 #include "trace/trace.hpp"
 
 namespace nodebench::report::cellrun {
+
+/// The store records one measured cell hands to runCell.
+using StoreRecords = std::vector<stats::SampleRecord>;
 
 /// Runs one cell measurement under the resilient retry policy. Attempt 0
 /// runs with salt 0 so fault-free output is byte-identical to the
@@ -49,16 +53,20 @@ namespace nodebench::report::cellrun {
 ///
 /// Under a results store (opt.store), the cell additionally persists its
 /// raw per-repetition samples: a SampleCapture is installed around each
-/// attempt and `storeSave` turns the captured channels into store
-/// records. A cell the store already holds skips that; a cell the store
-/// *lacks* is re-measured even when the journal could replay it, because
-/// journal payloads carry only summaries — re-measurement reproduces the
-/// identical values (identity-derived seeds) and the journal append
-/// below stays an idempotent no-op.
+/// attempt and `storeSave(capture, records)` turns the captured channels
+/// into the cell's `storeRecords` store records, which runCell appends
+/// under one store lock. A cell the store holds all of skips that; a
+/// cell the store lacks, even one record of (a kill or power loss
+/// between its records), is re-measured even when the journal could
+/// replay it, because journal payloads carry only summaries —
+/// re-measurement reproduces the identical values (identity-derived
+/// seeds), the store append writes only the missing records and the
+/// journal append below stays an idempotent no-op.
 template <typename Body, typename Save, typename Load, typename StoreSave>
 void runCell(const TableOptions& opt, const machines::Machine& m,
              std::string cell, CellIncident& slot, Body&& body, Save&& save,
-             Load&& load, StoreSave&& storeSave) {
+             Load&& load, StoreSave&& storeSave,
+             std::size_t storeRecords = 1) {
   // Cooperative cancellation is cell-grained: a set token skips cells that
   // have not started (this check), cells already past it finish and
   // journal normally, and the compute function throws CancelledError
@@ -84,7 +92,8 @@ void runCell(const TableOptions& opt, const machines::Machine& m,
   // export deterministic at any --jobs (no-op without --trace/--metrics).
   trace::Scope traceScope(slot.machine + "/" + slot.cell);
   const bool wantStore =
-      opt.store != nullptr && !opt.store->containsCell(slot.machine, slot.cell);
+      opt.store != nullptr &&
+      !opt.store->containsCell(slot.machine, slot.cell, storeRecords);
   if (opt.journal != nullptr && !wantStore) {
     if (const campaign::CellRecord* rec =
             opt.journal->find(slot.machine, slot.cell)) {
@@ -137,7 +146,10 @@ void runCell(const TableOptions& opt, const machines::Machine& m,
     }
   }
   if (wantStore && !slot.failed) {
-    storeSave(*capture);
+    StoreRecords records;
+    storeSave(*capture, records);
+    NB_EXPECTS(records.size() == storeRecords);
+    opt.store->appendCell(std::move(records));
   }
   if (opt.journal != nullptr) {
     campaign::CellRecord rec;

@@ -25,6 +25,7 @@ using cellrun::MeasuredMachines;
 using cellrun::naOr;
 using cellrun::runCell;
 using cellrun::sampleRecord;
+using cellrun::StoreRecords;
 using cellrun::throwIfCancelled;
 
 std::vector<const Machine*> allMachinePtrs() {
@@ -170,8 +171,8 @@ std::vector<SweepRow> computeSweep(const TableOptions& opt,
                   point = memlab::SweepPoint{grid[j], grid[j] * 3ull,
                                              campaign::readSummary(r)};
                 },
-                [&](SampleCapture& cap) {
-                  opt.store->append(sampleRecord(
+                [&](SampleCapture& cap, StoreRecords& out) {
+                  out.push_back(sampleRecord(
                       slots[task], memlab::kSweepQuantity, "GB/s",
                       stats::Better::Higher, point.bandwidthGBps,
                       cap.take(std::string(babelstream::streamOpName(
@@ -245,8 +246,8 @@ std::vector<ChaseRow> computeChase(const TableOptions& opt,
                   point.nsPerAccess = campaign::readSummary(r);
                   point.clkPerOp = campaign::readSummary(r);
                 },
-                [&](SampleCapture& cap) {
-                  opt.store->append(sampleRecord(
+                [&](SampleCapture& cap, StoreRecords& out) {
+                  out.push_back(sampleRecord(
                       slots[task], memlab::kChaseSampleChannel, "ns",
                       stats::Better::Lower, point.nsPerAccess,
                       cap.take(memlab::kChaseSampleChannel)));

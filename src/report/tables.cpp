@@ -42,6 +42,7 @@ using cellrun::runCell;
 using cellrun::sampleRecord;
 using cellrun::saveOptSummary;
 using cellrun::saveSummary;
+using cellrun::StoreRecords;
 using cellrun::throwIfCancelled;
 
 namespace {
@@ -274,16 +275,17 @@ std::vector<Cpu4Row> computeTable4(const TableOptions& opt,
                       row.singleGBps = campaign::readSummary(r);
                       row.allGBps = campaign::readSummary(r);
                     },
-                    [&](SampleCapture&) {
-                      opt.store->append(sampleRecord(
+                    [&](SampleCapture&, StoreRecords& out) {
+                      out.push_back(sampleRecord(
                           slots[task], "single-thread bandwidth", "GB/s",
                           stats::Better::Higher, row.singleGBps,
                           std::move(singleSamples)));
-                      opt.store->append(sampleRecord(
+                      out.push_back(sampleRecord(
                           slots[task], "full-team bandwidth", "GB/s",
                           stats::Better::Higher, row.allGBps,
                           std::move(allSamples)));
-                    });
+                    },
+                    /*storeRecords=*/2);
             break;
           }
           case 1:
@@ -299,8 +301,8 @@ std::vector<Cpu4Row> computeTable4(const TableOptions& opt,
                               .latencyUs;
                     },
                     saveSummary(row.onSocketUs), loadSummary(row.onSocketUs),
-                    [&](SampleCapture& cap) {
-                      opt.store->append(sampleRecord(
+                    [&](SampleCapture& cap, StoreRecords& out) {
+                      out.push_back(sampleRecord(
                           slots[task], "latency", "us", stats::Better::Lower,
                           row.onSocketUs,
                           cap.take(osu::kLatencySampleChannel)));
@@ -319,8 +321,8 @@ std::vector<Cpu4Row> computeTable4(const TableOptions& opt,
                               .latencyUs;
                     },
                     saveSummary(row.onNodeUs), loadSummary(row.onNodeUs),
-                    [&](SampleCapture& cap) {
-                      opt.store->append(sampleRecord(
+                    [&](SampleCapture& cap, StoreRecords& out) {
+                      out.push_back(sampleRecord(
                           slots[task], "latency", "us", stats::Better::Lower,
                           row.onNodeUs,
                           cap.take(osu::kLatencySampleChannel)));
@@ -451,8 +453,8 @@ std::vector<Gpu5Row> computeTable5(const TableOptions& opt,
                       bestOp = std::string(babelstream::streamOpName(best.op));
                     },
                     saveSummary(row.deviceGBps), loadSummary(row.deviceGBps),
-                    [&](SampleCapture& cap) {
-                      opt.store->append(sampleRecord(
+                    [&](SampleCapture& cap, StoreRecords& out) {
+                      out.push_back(sampleRecord(
                           slots[t], "bandwidth", "GB/s", stats::Better::Higher,
                           row.deviceGBps, cap.take(bestOp)));
                     });
@@ -472,8 +474,8 @@ std::vector<Gpu5Row> computeTable5(const TableOptions& opt,
                     },
                     saveSummary(row.hostToHostUs),
                     loadSummary(row.hostToHostUs),
-                    [&](SampleCapture& cap) {
-                      opt.store->append(sampleRecord(
+                    [&](SampleCapture& cap, StoreRecords& out) {
+                      out.push_back(sampleRecord(
                           slots[t], "latency", "us", stats::Better::Lower,
                           row.hostToHostUs,
                           cap.take(osu::kLatencySampleChannel)));
@@ -496,8 +498,8 @@ std::vector<Gpu5Row> computeTable5(const TableOptions& opt,
                               .latencyUs;
                     },
                     saveOptSummary(d2dSlot), loadOptSummary(d2dSlot),
-                    [&](SampleCapture& cap) {
-                      opt.store->append(sampleRecord(
+                    [&](SampleCapture& cap, StoreRecords& out) {
+                      out.push_back(sampleRecord(
                           slots[t], "latency", "us", stats::Better::Lower,
                           *d2dSlot, cap.take(osu::kLatencySampleChannel)));
                     });
@@ -683,34 +685,34 @@ std::vector<Gpu6Row> computeTable6(const TableOptions& opt,
                       break;
                   }
                 },
-                [&](SampleCapture& cap) {
+                [&](SampleCapture& cap, StoreRecords& out) {
                   switch (task.kind) {
                     case kLaunch:
-                      opt.store->append(sampleRecord(
+                      out.push_back(sampleRecord(
                           slots[t], "latency", "us", stats::Better::Lower,
                           row.launchUs,
                           cap.take(commscope::kLaunchSampleChannel)));
                       break;
                     case kWait:
-                      opt.store->append(sampleRecord(
+                      out.push_back(sampleRecord(
                           slots[t], "latency", "us", stats::Better::Lower,
                           row.waitUs,
                           cap.take(commscope::kWaitSampleChannel)));
                       break;
                     case kHostDeviceLatency:
-                      opt.store->append(sampleRecord(
+                      out.push_back(sampleRecord(
                           slots[t], "latency", "us", stats::Better::Lower,
                           row.hostDeviceLatencyUs,
                           cap.take(commscope::kHdLatencySampleChannel)));
                       break;
                     case kHostDeviceBandwidth:
-                      opt.store->append(sampleRecord(
+                      out.push_back(sampleRecord(
                           slots[t], "bandwidth", "GB/s", stats::Better::Higher,
                           row.hostDeviceBandwidthGBps,
                           cap.take(commscope::kHdBandwidthSampleChannel)));
                       break;
                     case kD2dLatency:
-                      opt.store->append(sampleRecord(
+                      out.push_back(sampleRecord(
                           slots[t], "latency", "us", stats::Better::Lower,
                           *row.d2dLatencyUs[static_cast<int>(task.linkClass)],
                           cap.take(commscope::kD2dLatencySampleChannel)));

@@ -485,6 +485,22 @@ void Server::runRequest(const Ticket& ticket) {
     }
   };
 
+  // What a request measured is committed before its result file is
+  // written and before a drained request is handed back for --resume.
+  // A failed commit fails the request on the success path; on the
+  // cancelled paths it is only logged, since no result depends on it (a
+  // drained request re-measures what the failure rolled back).
+  std::unique_ptr<campaign::Journal> journal;
+  std::unique_ptr<stats::ResultStore> store;
+  const auto commit = [&] {
+    if (store) {
+      store->commit();
+    }
+    if (journal) {
+      journal->commit();
+    }
+  };
+
   try {
     const auto spec = state_.readSpec(id);
     if (!spec) {
@@ -505,25 +521,32 @@ void Server::runRequest(const Ticket& ticket) {
     const campaign::CampaignConfig cfg = report::campaignConfig(opt);
     const std::string journalPath = state_.journalPath(id);
     std::error_code ec;
-    std::unique_ptr<campaign::Journal> journal =
-        std::filesystem::exists(journalPath, ec)
-            ? campaign::Journal::resume(journalPath, cfg)
-            : campaign::Journal::create(journalPath, cfg);
+    journal = std::filesystem::exists(journalPath, ec)
+                  ? campaign::Journal::resume(journalPath, cfg)
+                  : campaign::Journal::create(journalPath, cfg);
     for (const std::string& warning : journal->warnings()) {
       std::cerr << "nodebench serve: " << id << ": " << warning << "\n";
     }
     opt.journal = journal.get();
-    std::unique_ptr<stats::ResultStore> store;
     if (req.storeSamples) {
       store = stats::ResultStore::attach(state_.storePath(id), cfg,
                                          /*resume=*/true);
+      for (const std::string& warning : store->warnings()) {
+        std::cerr << "nodebench serve: " << id << ": " << warning << "\n";
+      }
       opt.store = store.get();
     }
 
     const std::string json = renderTables(id, req, opt);
+    commit();  // a memo hit appended nothing and commits nothing
     persist(json);
     finishEntry(id, ReqState::Done, json);
   } catch (const CancelledError& e) {
+    try {
+      commit();
+    } catch (const std::exception& failed) {
+      std::cerr << "nodebench serve: " << id << ": " << failed.what() << "\n";
+    }
     if (e.reason() == CancelReason::Watchdog) {
       ++watchdogCancelled_;
       // Structured incident: the request is finished (persisted), its

@@ -145,20 +145,30 @@ std::unique_ptr<ResultStore> ResultStore::attach(
     // before the header landed): start the store fresh.
     return create(path, current);
   }
+  // A store being resumed may end in a torn frame (its writer was killed
+  // mid-write, or a power loss took what followed the last commit), so
+  // this path reads it the way the journal is read: the valid prefix is
+  // kept and rewritten, and the cells cut off are re-measured.
+  campaign::FramedLogFormat resumeFormat = kStoreFormat;
+  resumeFormat.tail = campaign::TailPolicy::Truncate;
   const std::vector<std::uint8_t> bytes =
       campaign::readLogFile(kStoreFormat, path);
-  StoreContents contents = decode(bytes);
-  const std::string mismatch = describeStoreMismatch(contents.config, current);
+  std::vector<SampleRecord> records;
+  campaign::DecodedLog log = campaign::decodeFramedLog(
+      resumeFormat, bytes,
+      [&](PayloadReader& r) { records.push_back(readSampleRecord(r)); });
+  const std::string mismatch = describeStoreMismatch(log.config, current);
   if (!mismatch.empty()) {
     throw StoreConfigMismatchError("cannot resume " + path + ": " + mismatch);
   }
   auto store = std::unique_ptr<ResultStore>(
-      new ResultStore(campaign::FramedLogFile::reopen(kStoreFormat, path,
-                                                      bytes, bytes.size())));
-  store->config_ = contents.config;
-  for (const SampleRecord& record : contents.records) {
+      new ResultStore(campaign::FramedLogFile::reopen(
+          kStoreFormat, path, bytes, log.validBytes)));
+  store->config_ = log.config;
+  store->warnings_ = std::move(log.warnings);
+  for (const SampleRecord& record : records) {
     store->recordKeys_.insert(sampleKey(record));
-    store->cellKeys_.insert(campaign::cellKey(record.machine, record.cell));
+    ++store->cellRecords_[campaign::cellKey(record.machine, record.cell)];
   }
   return store;
 }
@@ -169,19 +179,36 @@ StoreContents ResultStore::load(const std::string& path) {
 
 void ResultStore::append(SampleRecord record) {
   const std::lock_guard<std::mutex> lock(mu_);
+  appendLocked(std::move(record));
+}
+
+void ResultStore::appendCell(std::vector<SampleRecord> records) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  for (SampleRecord& record : records) {
+    appendLocked(std::move(record));
+  }
+}
+
+void ResultStore::appendLocked(SampleRecord record) {
   std::string key = sampleKey(record);
   if (recordKeys_.find(key) != recordKeys_.end()) {
     return;  // idempotent: `table all` recomputes Tables 5/6 for Table 7
   }
   file_.append(encodeRecord(record));
-  cellKeys_.insert(campaign::cellKey(record.machine, record.cell));
+  ++cellRecords_[campaign::cellKey(record.machine, record.cell)];
   recordKeys_.insert(std::move(key));
 }
 
-bool ResultStore::containsCell(std::string_view machine,
-                               std::string_view cell) const {
+bool ResultStore::containsCell(std::string_view machine, std::string_view cell,
+                               std::size_t records) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return cellKeys_.find(campaign::cellKey(machine, cell)) != cellKeys_.end();
+  const auto it = cellRecords_.find(campaign::cellKey(machine, cell));
+  return it != cellRecords_.end() && it->second >= records;
+}
+
+void ResultStore::commit() {
+  const std::lock_guard<std::mutex> lock(mu_);
+  file_.commit();
 }
 
 std::size_t ResultStore::recordCount() const {

@@ -17,13 +17,15 @@
 ///     as an exact IEEE-754 bit pattern.
 ///
 /// Framing and payload serialization are the campaign layer's framed-log
-/// codec (campaign/framed_log.hpp), but the tail policy is deliberately
-/// stricter than the journal's: a journal tolerates a torn tail because
-/// a crash mid-campaign is its normal operating condition, while a
-/// results store is a finished artifact — any invalid frame means the
-/// file cannot be trusted as a baseline and decoding throws
-/// StoreCorruptError instead of silently comparing against a partial
-/// run. The decoder is a fuzz target (tests/fuzz/).
+/// codec (campaign/framed_log.hpp), and so is group commit: appends
+/// write, `commit()` fsyncs. The tail policy depends on who reads. A
+/// finished store is an artifact — `load` (compare, gate, merge) treats
+/// any invalid frame as corruption and throws StoreCorruptError instead
+/// of silently comparing against a partial run. A store being resumed is
+/// a crash log like the journal: `attach(…, resume=true)` cuts a torn
+/// tail with the journal's "torn tail truncated" warning and rewrites the
+/// valid prefix, and the harness re-measures what was cut. The decoder is
+/// a fuzz target (tests/fuzz/).
 ///
 /// Appends are idempotent per (machine, cell, quantity) and thread-safe:
 /// the parallel table harness writes records from worker threads, so
@@ -32,6 +34,7 @@
 /// worker count.
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -47,8 +50,9 @@
 namespace nodebench::stats {
 
 /// Thrown when a store file is unusable: bad magic, unsupported schema
-/// version, or any framing/payload corruption. Unlike the journal there
-/// is no torn-tail recovery — a results artifact is all-or-nothing.
+/// version, or any framing/payload corruption of a finished store — a
+/// results artifact is all-or-nothing. (Only the resume path recovers a
+/// torn tail.)
 class StoreCorruptError : public Error {
  public:
   using Error::Error;
@@ -107,8 +111,9 @@ class ResultStore {
   /// Opens a store for a campaign: `resume == false` is create();
   /// `resume == true` reopens an existing file for appending — after
   /// verifying its recorded configuration matches `current`
-  /// (StoreConfigMismatchError naming the parameter otherwise) — or
-  /// creates the file when it does not exist yet.
+  /// (StoreConfigMismatchError naming the parameter otherwise) and
+  /// cutting a torn tail (recorded in `warnings()`) — or creates the
+  /// file when it does not exist yet.
   [[nodiscard]] static std::unique_ptr<ResultStore> attach(
       const std::string& path, const campaign::CampaignConfig& current,
       bool resume);
@@ -130,28 +135,49 @@ class ResultStore {
   ResultStore(const ResultStore&) = delete;
   ResultStore& operator=(const ResultStore&) = delete;
 
-  /// CRC-framed append. Idempotent per (machine, cell, quantity) and
-  /// thread-safe — the harness calls this from parallel workers.
+  /// CRC-framed append (a write, no fsync). Idempotent per (machine,
+  /// cell, quantity) and thread-safe.
   void append(SampleRecord record);
 
-  /// True when any quantity of (machine, cell) is already stored — the
-  /// harness's "skip re-measuring this cell" test.
+  /// Appends every record of one measured cell under one lock, skipping
+  /// those already stored — so a cell cut off between its records gets
+  /// exactly the missing ones. The harness calls this from parallel
+  /// workers.
+  void appendCell(std::vector<SampleRecord> records);
+
+  /// True when `records` quantities of (machine, cell) are stored: every
+  /// record the cell's measurement writes. The harness's "skip
+  /// re-measuring this cell" test; a half-stored cell is measured again.
   [[nodiscard]] bool containsCell(std::string_view machine,
-                                  std::string_view cell) const;
+                                  std::string_view cell,
+                                  std::size_t records) const;
+
+  /// Makes every appended record durable, like Journal::commit(): one
+  /// fsync, or Error("store fsync failed: <path>: <errno>") after
+  /// truncating the file back to its last commit.
+  void commit();
 
   [[nodiscard]] const campaign::CampaignConfig& config() const {
     return config_;
   }
   [[nodiscard]] std::size_t recordCount() const;
+  [[nodiscard]] const std::vector<std::string>& warnings() const {
+    return warnings_;
+  }
 
  private:
   explicit ResultStore(campaign::FramedLogFile file)
       : file_(std::move(file)) {}
 
+  /// append() with mu_ held.
+  void appendLocked(SampleRecord record);
+
   campaign::FramedLogFile file_;
   campaign::CampaignConfig config_;
   std::set<std::string, std::less<>> recordKeys_;
-  std::set<std::string, std::less<>> cellKeys_;
+  /// Stored records per campaign::cellKey().
+  std::map<std::string, std::size_t, std::less<>> cellRecords_;
+  std::vector<std::string> warnings_;
   mutable std::mutex mu_;
 };
 

@@ -177,7 +177,10 @@ std::unique_ptr<SupervisorJournal> SupervisorJournal::resume(
 }
 
 void SupervisorJournal::append(const SupervisorEvent& event) {
+  // Committed per event, not per window: the supervisor acts on each one
+  // (launches, kills, merges) as soon as it is recorded.
   file_.append(encodeEvent(event));
+  file_.commit();
   events_.push_back(event);
 }
 

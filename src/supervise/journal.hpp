@@ -116,7 +116,9 @@ class SupervisorJournal {
   SupervisorJournal(const SupervisorJournal&) = delete;
   SupervisorJournal& operator=(const SupervisorJournal&) = delete;
 
-  /// CRC-framed durable append (write + fsync, rollback on failure).
+  /// CRC-framed durable append: write, then commit (fsync), each
+  /// rolled back on failure. Unlike the campaign journal's appends, every
+  /// event is committed before this returns.
   void append(const SupervisorEvent& event);
 
   [[nodiscard]] const SupervisorConfig& config() const { return config_; }

@@ -90,7 +90,16 @@ void LeaseScheduler::replay(const std::vector<SupervisorEvent>& events,
     switch (event.kind) {
       case EventKind::AttemptStarted:
         // Mirrors acquire() + bind(): the journal records the decision
-        // the scheduler made, so replay re-applies it directly.
+        // the scheduler made, so replay re-applies it directly. A resumed
+        // supervisor releases an in-flight lease without journaling the
+        // release and relaunches the same attempt, so the same attempt
+        // number started again on a leased shard is that release plus
+        // relaunch: the lease moves to the new pid.
+        if (lease.state == ShardState::Leased &&
+            event.attempt == lease.attempts) {
+          lease.pid = event.pid;
+          break;
+        }
         if (lease.state != ShardState::Pending) {
           refuse(event.shard, "starts an attempt while not pending");
         }

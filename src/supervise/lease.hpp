@@ -70,7 +70,9 @@ class LeaseScheduler {
   /// Rebuilds lease state from a supervisor journal's event log. After
   /// replay, shards whose last event is AttemptStarted are Leased to
   /// their recorded pid — the caller kills/adopts those workers and
-  /// calls release().
+  /// calls release(). An AttemptStarted for a shard already leased under
+  /// the same attempt number is such a release (never journaled) plus
+  /// its relaunch; every other out-of-order event is refused.
   void replay(const std::vector<SupervisorEvent>& events, std::int64_t nowMs);
 
   [[nodiscard]] const Lease& lease(std::uint32_t shard) const;

@@ -6,13 +6,17 @@
 /// named error ("journal ... No space left on device"), (b) never leaves
 /// a torn frame on disk — the file reopens cleanly with exactly the
 /// records appended before the fault — and (c) the handle stays usable:
-/// the next append succeeds.
+/// the next append succeeds. Appends do not fsync (group commit), so the
+/// fsync fault is injected into a commit, which rolls the file back to
+/// the previous commit.
 
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <chrono>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/io.hpp"
@@ -128,19 +132,59 @@ TEST_F(IoFaultTest, JournalFsyncFailureRollsBackTheFrame) {
   const std::string path = scratch("c.journal");
   fs::remove(path);
   auto journal = Journal::create(path, testConfig());
-  const auto sizeBefore = fs::file_size(path);
-
-  // The write lands fully but is not durable; the append must not
-  // report success, and the frame is rolled back so the on-disk state
-  // matches what the caller was told.
-  io::setIoFailure(io::IoOp::Fsync, 0, EIO);
-  EXPECT_THROW(journal->append(cell("Manzano", 1)), Error);
-  EXPECT_EQ(io::ioFailuresFired(), 1);
-  EXPECT_EQ(fs::file_size(path), sizeBefore);
-
   journal->append(cell("Manzano", 1));
+  journal->commit();
+  const auto committedSize = fs::file_size(path);
+
+  // Appends write without syncing, so the fsync that can fail is the
+  // commit's. The frame lands fully but is not durable: the commit must
+  // not report success, must name the subsystem, and must roll the file
+  // back to what the last successful commit made durable.
+  journal->append(cell("Manzano", 2));
+  EXPECT_GT(fs::file_size(path), committedSize);
+  io::setIoFailure(io::IoOp::Fsync, 0, EIO);
+  try {
+    journal->commit();
+    FAIL() << "commit should have failed";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("journal fsync failed"), std::string::npos) << what;
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+  }
+  EXPECT_EQ(io::ioFailuresFired(), 1);
+  EXPECT_EQ(fs::file_size(path), committedSize);
+
+  // A resume decodes exactly the frames committed before the failure.
   journal.reset();
-  EXPECT_EQ(Journal::resume(path, testConfig())->recordCount(), 1u);
+  auto resumed = Journal::resume(path, testConfig());
+  EXPECT_TRUE(resumed->warnings().empty());
+  EXPECT_EQ(resumed->recordCount(), 1u);
+  EXPECT_NE(resumed->find("Manzano", "cell-1"), nullptr);
+}
+
+TEST_F(IoFaultTest, AppendCommitsOnceTheCommitWindowHasPassed) {
+  const std::string path = scratch("w.journal");
+  fs::remove(path);
+  const auto start = std::chrono::steady_clock::now();
+  auto journal = Journal::create(path, testConfig());
+  const auto headerSize = fs::file_size(path);
+  io::setIoFailure(io::IoOp::Fsync, 0, EIO);
+  journal->append(cell("Theta", 1));
+  journal->append(cell("Theta", 2));
+  if (std::chrono::steady_clock::now() - start <
+      FramedLogFile::kCommitWindow) {
+    // Inside the window an append only writes.
+    EXPECT_EQ(io::ioFailuresFired(), 0);
+  }
+  io::setIoFailure(io::IoOp::Fsync, 0, EIO);
+  std::this_thread::sleep_for(FramedLogFile::kCommitWindow +
+                              std::chrono::milliseconds(10));
+  // The first append past the window commits what was written before it
+  // writes its own frame; the injected fsync failure surfaces from the
+  // append and rolls the file back to the header, the last commit.
+  EXPECT_THROW(journal->append(cell("Theta", 3)), Error);
+  EXPECT_EQ(io::ioFailuresFired(), 1);
+  EXPECT_EQ(fs::file_size(path), headerSize);
 }
 
 TEST_F(IoFaultTest, StoreAppendFaultNeverCorruptsTheStrictFormat) {

@@ -1,7 +1,8 @@
 /// \file store_test.cpp
 /// \brief Results-store unit tests: encode/decode round-trips, the strict
-/// (all-or-nothing) corruption policy, the create/append/attach
-/// lifecycle, and the resume fingerprint check.
+/// (all-or-nothing) corruption policy of a finished store, the torn-tail
+/// cut of a resumed one, the create/append/attach lifecycle, and the
+/// resume fingerprint check.
 
 #include "stats/store.hpp"
 
@@ -10,6 +11,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,6 +64,12 @@ Bytes encodeTestStore() {
 
 std::string tempPath(const std::string& name) {
   return (std::filesystem::path(::testing::TempDir()) / name).string();
+}
+
+void writeBytes(const std::string& path, std::span<const std::uint8_t> bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
 }
 
 TEST(StoreCodec, RoundTripsConfigAndRecord) {
@@ -161,17 +170,25 @@ TEST(ResultStoreFile, CreateAppendLoadLifecycle) {
   std::filesystem::remove(path);
   {
     auto store = ResultStore::create(path, testConfig());
-    EXPECT_FALSE(store->containsCell("Frontier", "device bandwidth"));
+    EXPECT_FALSE(store->containsCell("Frontier", "device bandwidth", 1));
     store->append(testRecord());
-    EXPECT_TRUE(store->containsCell("Frontier", "device bandwidth"));
+    EXPECT_TRUE(store->containsCell("Frontier", "device bandwidth", 1));
     store->append(testRecord());  // idempotent: same (machine, cell, qty)
     store->append(testRecord("Frontier", "host bandwidth", "single"));
     EXPECT_EQ(store->recordCount(), 2u);
+    // A two-record cell holding one record is not stored yet.
+    EXPECT_FALSE(store->containsCell("Frontier", "host bandwidth", 2));
+    store->appendCell({testRecord("Frontier", "host bandwidth", "single"),
+                       testRecord("Frontier", "host bandwidth", "full")});
+    EXPECT_TRUE(store->containsCell("Frontier", "host bandwidth", 2));
+    EXPECT_EQ(store->recordCount(), 3u);
+    store->commit();
   }
   const StoreContents contents = ResultStore::load(path);
-  ASSERT_EQ(contents.records.size(), 2u);
+  ASSERT_EQ(contents.records.size(), 3u);
   EXPECT_EQ(contents.records[0].cell, "device bandwidth");
-  EXPECT_EQ(contents.records[1].cell, "host bandwidth");
+  EXPECT_EQ(contents.records[1].quantity, "single");
+  EXPECT_EQ(contents.records[2].quantity, "full");
 }
 
 TEST(ResultStoreFile, CreateRefusesExistingFile) {
@@ -190,7 +207,7 @@ TEST(ResultStoreFile, AttachResumeRebuildsKeysAndAppends) {
   }
   {
     auto store = ResultStore::attach(path, testConfig(), /*resume=*/true);
-    EXPECT_TRUE(store->containsCell("Frontier", "device bandwidth"));
+    EXPECT_TRUE(store->containsCell("Frontier", "device bandwidth", 1));
     EXPECT_EQ(store->recordCount(), 1u);
     store->append(testRecord("Tioga", "device bandwidth", "bandwidth"));
   }
@@ -216,6 +233,50 @@ TEST(ResultStoreFile, AttachResumeRejectsConfigMismatchNamingParameter) {
   } catch (const StoreConfigMismatchError& e) {
     EXPECT_NE(std::string(e.what()).find("--runs"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(ResultStoreFile, AttachResumeCutsATornTailAtEveryByte) {
+  // A resumed store is a crash log: a writer killed mid-write, or a power
+  // loss after its last commit, leaves a torn tail that resume cuts with
+  // the journal's warning. Every cut past the header must reopen to the
+  // longest valid record prefix, rewritten on disk as a strict store.
+  Bytes bytes = ResultStore::encodeHeader(testConfig());
+  const std::size_t headerSize = bytes.size();
+  std::vector<std::size_t> recordEnds;
+  for (const char* cell : {"device bandwidth", "host latency", "d2d"}) {
+    const Bytes frame =
+        ResultStore::encodeRecord(testRecord("Frontier", cell, "q"));
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+    recordEnds.push_back(bytes.size());
+  }
+  const std::string path = tempPath("store_torn_sweep.bin");
+  for (std::size_t cut = headerSize; cut <= bytes.size(); ++cut) {
+    writeBytes(path, std::span(bytes.data(), cut));
+    std::size_t fullRecords = 0;
+    std::size_t prefixEnd = headerSize;
+    for (const std::size_t end : recordEnds) {
+      if (end <= cut) {
+        ++fullRecords;
+        prefixEnd = end;
+      }
+    }
+    std::unique_ptr<ResultStore> store;
+    ASSERT_NO_THROW(store = ResultStore::attach(path, testConfig(), true))
+        << "cut at byte " << cut;
+    EXPECT_EQ(store->recordCount(), fullRecords) << "cut at byte " << cut;
+    EXPECT_EQ(store->warnings().empty(), cut == prefixEnd)
+        << "cut at byte " << cut;
+    if (!store->warnings().empty()) {
+      EXPECT_NE(store->warnings()[0].find("torn tail truncated"),
+                std::string::npos)
+          << store->warnings()[0];
+    }
+    store.reset();
+    EXPECT_EQ(std::filesystem::file_size(path), prefixEnd)
+        << "cut at byte " << cut;
+    EXPECT_EQ(ResultStore::load(path).records.size(), fullRecords)
+        << "cut at byte " << cut;
   }
 }
 

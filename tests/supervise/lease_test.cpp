@@ -146,6 +146,38 @@ TEST(LeaseScheduler, ReplayRebuildsState) {
   EXPECT_EQ(sched.lease(2).lastIncident, "crash again");
 }
 
+TEST(LeaseScheduler, ReplayTreatsARestartedAttemptAsReleaseAndRelaunch) {
+  // A resumed supervisor releases an in-flight lease without journaling
+  // the release, then relaunches the same attempt: a supervisor killed
+  // twice leaves AttemptStarted twice (or more) for one attempt. Replay
+  // must accept it, leased to the newest worker, without burning an
+  // attempt, so a third supervisor can still resume.
+  LeaseScheduler sched(2, 2, fastPolicy(), demoConfig());
+  sched.replay({event(EventKind::AttemptStarted, 0, 1, 101),
+                event(EventKind::AttemptStarted, 1, 1, 102),
+                event(EventKind::AttemptStarted, 0, 1, 201),
+                event(EventKind::AttemptStarted, 1, 1, 202),
+                event(EventKind::ShardDone, 1, 1),
+                event(EventKind::AttemptStarted, 0, 1, 301)},
+               0);
+  EXPECT_EQ(sched.lease(0).state, ShardState::Leased);
+  EXPECT_EQ(sched.lease(0).attempts, 1u);
+  EXPECT_EQ(sched.lease(0).pid, 301u);
+  EXPECT_EQ(sched.lease(1).state, ShardState::Done);
+  // The resumed supervisor releases it again and relaunches attempt 1.
+  sched.release(0);
+  EXPECT_EQ(sched.acquire(0), std::optional<std::uint32_t>(0));
+  EXPECT_EQ(sched.lease(0).attempts, 1u);
+
+  // A restart of a shard that is done is still refused.
+  LeaseScheduler done(1, 2, fastPolicy(), demoConfig());
+  EXPECT_THROW(done.replay({event(EventKind::AttemptStarted, 0, 1, 1),
+                            event(EventKind::ShardDone, 0, 1),
+                            event(EventKind::AttemptStarted, 0, 1, 2)},
+                           0),
+               SupervisorJournalError);
+}
+
 TEST(LeaseScheduler, ReplayRefusesInconsistentLogs) {
   const auto cfg = demoConfig();
   {

@@ -21,7 +21,9 @@
 #                reassigns with backoff until done; cmp as above.
 #  - supervisor: SIGKILL the supervisor mid-campaign (workers orphaned),
 #                rerun with --resume (stale workers killed, leases
-#                re-adopted without burning attempts); cmp as above.
+#                re-adopted without burning attempts), SIGKILL that
+#                supervisor too once it relaunched them, and --resume
+#                again; cmp as above.
 #  - poison:     one shard fails every attempt; exit code must be
 #                exactly 44, the merge must degrade to partial, and the
 #                gap manifest must name the shard, its attempt count,
@@ -136,18 +138,52 @@ fi
 # Orphaned workers may still be running; --resume must kill any stale
 # ones (cmdline-guarded) and re-adopt their leases without burning
 # attempts. Merge outputs may exist if the kill landed post-merge.
+# That resumed supervisor relaunches the in-flight attempts under their
+# old attempt numbers; it is killed too, so the last --resume replays
+# each such attempt started twice.
+rm -f "${base}.merged.journal" "${base}.merged.store"
+"${nodebench}" supervise "${table}" --shards "${shards}" --runs "${runs}" \
+  --journal "${base}.journal" --store "${base}.store" \
+  --merge-out "${base}.merged.journal" \
+  --merge-store-out "${base}.merged.store" \
+  --test-cell-delay-ms 400 --resume \
+  > "${workdir}/svkill2.log" 2>&1 &
+supervisor=$!
+# A launch is logged after its AttemptStarted event is committed.
+for _ in $(seq 1 200); do
+  if grep -q " attempt [0-9]* (pid " "${workdir}/svkill2.log" ||
+     ! kill -0 "${supervisor}" 2>/dev/null; then
+    break
+  fi
+  sleep 0.02
+done
+if kill -9 "${supervisor}" 2>/dev/null; then
+  wait "${supervisor}" 2>/dev/null || true
+  if grep -q " attempt [0-9]* (pid " "${workdir}/svkill2.log"; then
+    echo "   resumed supervisor killed after relaunching a worker"
+  else
+    echo "   resumed supervisor killed before relaunching a worker"
+  fi
+else
+  wait "${supervisor}" 2>/dev/null || true
+  echo "   resumed campaign finished before the second kill"
+fi
+if ! grep -q "resuming campaign" "${workdir}/svkill2.log"; then
+  echo "error: --resume did not report re-adopting the journal" >&2
+  tail -10 "${workdir}/svkill2.log" >&2
+  exit 1
+fi
 rm -f "${base}.merged.journal" "${base}.merged.store"
 "${nodebench}" supervise "${table}" --shards "${shards}" --runs "${runs}" \
   --journal "${base}.journal" --store "${base}.store" \
   --merge-out "${base}.merged.journal" \
   --merge-store-out "${base}.merged.store" \
   --resume \
-  > "${workdir}/svkill2.log" 2>&1
-if ! grep -q "resuming campaign" "${workdir}/svkill2.log"; then
-  echo "error: --resume did not report re-adopting the journal" >&2
-  tail -10 "${workdir}/svkill2.log" >&2
+  > "${workdir}/svkill3.log" 2>&1 || {
+  echo "error: the third supervisor could not resume" >&2
+  tail -10 "${workdir}/svkill3.log" >&2
   exit 1
-fi
+}
 assert_identical "supervisor kill + resume" "${base}.merged.journal" \
   "${base}.merged.store"
 

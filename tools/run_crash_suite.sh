@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Crash-injection integration suite for the campaign journal: repeatedly
-# kill the real nodebench binary mid-campaign and resume it, then assert
-# the final table output is byte-identical to an uninterrupted run.
+# Crash-injection integration suite for the campaign journal and results
+# store: repeatedly kill the real nodebench binary mid-campaign and resume
+# it, then assert the final table output (and, at --jobs 1, the store) is
+# byte-identical to an uninterrupted run.
 #
 #   tools/run_crash_suite.sh [--section NAME]... [build-dir] [table] [runs]
 #     --section  run only the named section(s); repeatable. Names:
-#                  crash    deterministic --crash-after-cell loop
+#                  crash    deterministic --crash-after-cell loop,
+#                           journal and store
 #                  sigkill  SIGKILL mid-campaign, then resume
 #                  sigterm  graceful interrupt (exit 43), then resume
 #                  serve    SIGTERM right after start (x50), then
@@ -23,12 +25,13 @@
 #                under test is durability, not statistics)
 #
 # Two kill mechanisms are exercised at --jobs 1 and --jobs 8:
-#  - the deterministic --crash-after-cell hook (fsync, then _Exit(42)),
-#    which lands exactly on an append boundary;
+#  - the deterministic --crash-after-cell hook (the Nth cell's record is
+#    written, then _Exit(42) before any commit fsyncs it): a kill between
+#    a write and its fsync, landing exactly on an append boundary;
 #  - one SIGKILL at a random point, which may tear a record mid-write and
 #    must be recovered by torn-tail truncation on resume.
 # Then the graceful-interrupt contract: SIGTERM to a journaled run must
-# finish the in-flight cell, fsync, and exit 43, with --resume completing
+# finish the in-flight cell, commit, and exit 43, with --resume completing
 # the campaign byte-identically.
 # Finally the daemon: a SIGTERM that lands as soon as its socket exists
 # must drain it (exit 0), 50 times over; then `nodebench serve` is
@@ -102,11 +105,17 @@ if want crash || want sigkill || want sigterm; then
 fi
 
 if want crash; then
+  # The store the --jobs 1 crash loop must reproduce byte for byte (at
+  # --jobs 8 the record order follows thread completion).
+  "${nodebench}" table "${table}" --runs "${runs}" --jobs 1 \
+    --journal "${workdir}/reference.journal" \
+    --store "${workdir}/reference.store" > /dev/null
   for jobs in 1 8; do
     echo
     echo "== kill-and-resume at --jobs ${jobs} =="
     journal="${workdir}/campaign_j${jobs}.bin"
-    rm -f "${journal}"
+    store="${workdir}/campaign_j${jobs}.store"
+    rm -f "${journal}" "${store}"
 
     # Phase 1: deterministic crashes every few appended cells until the
     # campaign completes. Exit 42 is the crash hook; 0 means done.
@@ -121,7 +130,8 @@ if want crash; then
       fi
       rc=0
       "${nodebench}" table "${table}" --runs "${runs}" --jobs "${jobs}" \
-        --journal "${journal}" "${resume_flag[@]}" --crash-after-cell 5 \
+        --journal "${journal}" --store "${store}" "${resume_flag[@]}" \
+        --crash-after-cell 5 \
         > "${workdir}/crashed.txt" 2>> "${workdir}/stderr_j${jobs}.log" || rc=$?
       resume_flag=(--resume)
       if (( rc == 0 )); then
@@ -140,6 +150,14 @@ if want crash; then
       exit 1
     fi
     echo "   resumed output is byte-identical to the baseline"
+    if (( jobs == 1 )); then
+      if ! cmp -s "${store}" "${workdir}/reference.store"; then
+        echo "error: resumed store differs from the uninterrupted" \
+             "--jobs 1 store" >&2
+        exit 1
+      fi
+      echo "   resumed store is byte-identical to the --jobs 1 store"
+    fi
   done
 fi
 
