@@ -9,35 +9,150 @@
 
 #include "trace/trace.hpp"
 
-// Cooperative mode uses POSIX ucontext fibers. Fiber stack switches are
-// invisible to the sanitizers' shadow-stack bookkeeping (tsan would need
-// __tsan_switch_to_fiber annotations, asan fake-stack equivalents), and
-// the whole point of the sanitized builds is to check the thread-mode
-// handoffs — so cooperative support is compiled out under any sanitizer
-// and those builds always run Mode::Threads.
-#if defined(__linux__)
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__) || \
-    defined(__SANITIZE_MEMORY__)
-#define NODEBENCH_VT_COOP 0
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#define NODEBENCH_VT_COOP 0
-#else
-#define NODEBENCH_VT_COOP 1
+// Cooperative mode runs every rank as a fiber on the calling thread. On
+// x86-64 a handoff is nodebench_vt_switch below, which saves registers
+// only; other architectures use POSIX ucontext. AddressSanitizer and
+// ThreadSanitizer builds run it too: every switch goes through their
+// fiber hooks. Cooperative mode is unchecked under MemorySanitizer, so
+// such builds compile it out and always run Mode::Threads.
+#if defined(__SANITIZE_ADDRESS__)
+#define NODEBENCH_VT_ASAN 1
 #endif
-#else
-#define NODEBENCH_VT_COOP 1
+#if defined(__SANITIZE_THREAD__)
+#define NODEBENCH_VT_TSAN 1
 #endif
+#if defined(__SANITIZE_MEMORY__)
+#define NODEBENCH_VT_MSAN 1
+#endif
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define NODEBENCH_VT_ASAN 1
+#endif
+#if __has_feature(thread_sanitizer)
+#define NODEBENCH_VT_TSAN 1
+#endif
+#if __has_feature(memory_sanitizer)
+#define NODEBENCH_VT_MSAN 1
+#endif
+#endif
+
+#if defined(__linux__) && !defined(NODEBENCH_VT_MSAN)
+#define NODEBENCH_VT_COOP 1
 #else
 #define NODEBENCH_VT_COOP 0
 #endif
 
 #if NODEBENCH_VT_COOP
-#include <ucontext.h>
-
 #include <memory>
 #include <vector>
+
+#if !defined(__x86_64__)
+#include <ucontext.h>
+#endif
+#ifndef NDEBUG
+#include <signal.h>
+
+#include <cassert>
+#endif
+#if defined(NODEBENCH_VT_ASAN)
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(NODEBENCH_VT_TSAN)
+#include <sanitizer/tsan_interface.h>
+#endif
+#endif
+
+#if NODEBENCH_VT_COOP && defined(__x86_64__)
+// nodebench_vt_switch(void** fromSp, void* toSp) suspends the running
+// fiber and resumes another. It pushes the SysV callee-saved registers and
+// the MXCSR and x87 control words, stores the stack pointer in *fromSp,
+// loads toSp and pops the same frame from there, returning into the
+// resumed fiber. The call itself clobbers every other register, and the
+// signal mask is left alone (DESIGN.md §12).
+//
+// A new fiber's first switch returns into nodebench_vt_fiber_start (see
+// initialFrame), which calls r14(r12, r13), the trampoline with the
+// scheduler and the rank. The trampoline never returns; ud2 traps if it
+// does, and `.cfi_undefined rip` ends every unwind here.
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .globl nodebench_vt_switch
+  .hidden nodebench_vt_switch
+  .type nodebench_vt_switch, @function
+nodebench_vt_switch:
+  .cfi_startproc
+  pushq %rbp
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %rbp, 0
+  pushq %rbx
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %rbx, 0
+  pushq %r12
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %r12, 0
+  pushq %r13
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %r13, 0
+  pushq %r14
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %r14, 0
+  pushq %r15
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %r15, 0
+  subq $8, %rsp
+  .cfi_adjust_cfa_offset 8
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  .cfi_adjust_cfa_offset -8
+  popq %r15
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %r15
+  popq %r14
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %r14
+  popq %r13
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %r13
+  popq %r12
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %r12
+  popq %rbx
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %rbx
+  popq %rbp
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %rbp
+  ret
+  .cfi_endproc
+  .size nodebench_vt_switch, .-nodebench_vt_switch
+
+  .p2align 4
+  .globl nodebench_vt_fiber_start
+  .hidden nodebench_vt_fiber_start
+  .type nodebench_vt_fiber_start, @function
+nodebench_vt_fiber_start:
+  .cfi_startproc
+  .cfi_undefined %rip
+  movq %r12, %rdi
+  movq %r13, %rsi
+  callq *%r14
+  ud2
+  .cfi_endproc
+  .size nodebench_vt_fiber_start, .-nodebench_vt_fiber_start
+  .popsection
+)");
+
+extern "C" {
+[[gnu::visibility("hidden")]] void nodebench_vt_switch(void** fromSp,
+                                                      void* toSp);
+[[gnu::visibility("hidden")]] void nodebench_vt_fiber_start();
+}
 #endif
 
 namespace nodebench::sim {
@@ -74,68 +189,212 @@ struct ModeLock {
 
 #if NODEBENCH_VT_COOP
 
-/// Fiber contexts of one cooperative run. The loop in runCooperative owns
-/// `main`; each rank's continuation lives in its fiber's `ctx` (the
-/// initial makecontext before first resume, the suspension point inside
-/// waitUntilRunning afterwards).
+namespace {
+
+#if defined(__x86_64__)
+/// Builds the frame nodebench_vt_switch pops when it first resumes a new
+/// fiber, at the top of `stack`, and returns its stack pointer: the
+/// creating thread's MXCSR and x87 control words, r14 = `entry`,
+/// r13 = `rank`, r12 = `self`, rbx = r15 = 0, rbp = 0 (the end of the
+/// frame-pointer chain), and a return into nodebench_vt_fiber_start. The
+/// switch's `ret` leaves rsp at the 16-byte aligned top, so the stub's
+/// call meets the ABI's alignment.
+void* initialFrame(char* stack, std::size_t bytes,
+                   void (*entry)(VirtualTimeScheduler*, int),
+                   VirtualTimeScheduler* self, int rank) {
+  std::uint32_t mxcsr = 0;
+  std::uint16_t x87cw = 0;
+  asm("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(x87cw));
+  const std::uint64_t frame[8] = {
+      mxcsr | (std::uint64_t{x87cw} << 32),
+      0,  // r15
+      reinterpret_cast<std::uintptr_t>(entry),
+      static_cast<std::uint64_t>(rank),
+      reinterpret_cast<std::uintptr_t>(self),
+      0,  // rbx
+      0,  // rbp
+      reinterpret_cast<std::uintptr_t>(&nodebench_vt_fiber_start),
+  };
+  const std::uintptr_t top =
+      (reinterpret_cast<std::uintptr_t>(stack) + bytes) & ~std::uintptr_t{15};
+  void* sp = reinterpret_cast<void*>(top - sizeof frame);
+  std::memcpy(sp, frame, sizeof frame);
+  return sp;
+}
+#else
+/// The ucontext counterpart of initialFrame. makecontext passes ints
+/// only, so `entry` gets the scheduler pointer as two 32-bit halves.
+/// getcontext returns twice, so it stays out of the caller's loop.
+void initialContext(ucontext_t& ctx, char* stack, std::size_t bytes,
+                    void (*entry)(unsigned, unsigned, int),
+                    VirtualTimeScheduler* self, int rank) {
+  NB_ENSURES(getcontext(&ctx) == 0);
+  ctx.uc_stack.ss_sp = stack;
+  ctx.uc_stack.ss_size = bytes;
+  ctx.uc_link = nullptr;
+  const auto bits = reinterpret_cast<std::uintptr_t>(self);
+  makecontext(&ctx, reinterpret_cast<void (*)()>(entry), 3,
+              static_cast<unsigned>(bits >> 32),
+              static_cast<unsigned>(bits & 0xffffffffu), rank);
+}
+#endif
+
+#ifndef NDEBUG
+sigset_t currentSignalMask() {
+  sigset_t mask;
+  sigemptyset(&mask);
+  pthread_sigmask(SIG_SETMASK, nullptr, &mask);
+  return mask;
+}
+
+bool sameSignalMask(const sigset_t& a, const sigset_t& b) {
+  for (int sig = 1; sig < NSIG; ++sig) {
+    if (sigismember(&a, sig) != sigismember(&b, sig)) {
+      return false;
+    }
+  }
+  return true;
+}
+#endif
+
+}  // namespace
+
+/// The execution contexts of one cooperative run: a fiber per rank, and
+/// `main`, the thread running the loop in runCooperative.
 struct VirtualTimeScheduler::CoopRuntime {
   struct Fiber {
-    ucontext_t ctx;
-    std::unique_ptr<char[]> stack;
+#if defined(__x86_64__)
+    void* sp = nullptr;  ///< Saved stack pointer while suspended.
+#else
+    ucontext_t ctx{};
+#endif
+    std::unique_ptr<char[]> stack;  ///< Null for `main`.
+    // Sanitizer state, unused in other builds. ASan learns `main`'s stack
+    // bounds when `main` first switches away.
+    const void* stackBottom = nullptr;
+    std::size_t stackSize = 0;
+    void* fakeStack = nullptr;  ///< ASan fake stack while suspended.
+    void* tsanFiber = nullptr;
   };
   /// 512 KiB per rank: rank functions reach resolvePath/topology code with
-  /// modest frames, so this is generous headroom; Linux commits pages
-  /// lazily, so untouched stack costs address space only.
+  /// modest frames, so this is generous headroom. ASan's redzones enlarge
+  /// every frame (a 256 KiB-deep recursion overflows 512 KiB under ASan),
+  /// so its builds get 4x. The stack is left uninitialised: a run touches
+  /// only the pages its frames use.
+#if defined(NODEBENCH_VT_ASAN)
+  static constexpr std::size_t kStackBytes = 2048u * 1024u;
+#else
   static constexpr std::size_t kStackBytes = 512u * 1024u;
+#endif
 
-  ucontext_t main;
+  CoopRuntime(VirtualTimeScheduler* self, const std::vector<ProcessFn>& run)
+      : fibers(run.size()), fns(&run) {
+#if defined(NODEBENCH_VT_TSAN)
+    main.tsanFiber = __tsan_get_current_fiber();
+#endif
+    for (std::size_t i = 0; i < fibers.size(); ++i) {
+      Fiber& f = fibers[i];
+      f.stack = std::make_unique_for_overwrite<char[]>(kStackBytes);
+      f.stackBottom = f.stack.get();
+      f.stackSize = kStackBytes;
+      const int rank = static_cast<int>(i);
+#if defined(__x86_64__)
+      f.sp = initialFrame(f.stack.get(), kStackBytes, &coopTrampoline, self,
+                          rank);
+#else
+      initialContext(f.ctx, f.stack.get(), kStackBytes,
+                     [](unsigned hi, unsigned lo, int r) {
+                       coopTrampoline(
+                           reinterpret_cast<VirtualTimeScheduler*>(
+                               (std::uintptr_t{hi} << 32) |
+                               std::uintptr_t{lo}),
+                           r);
+                     },
+                     self, rank);
+#endif
+#if defined(NODEBENCH_VT_TSAN)
+      f.tsanFiber = __tsan_create_fiber(0);
+#endif
+    }
+  }
+
+  ~CoopRuntime() {
+#if defined(NODEBENCH_VT_TSAN)
+    for (Fiber& f : fibers) {
+      __tsan_destroy_fiber(f.tsanFiber);
+    }
+#endif
+  }
+
+  CoopRuntime(const CoopRuntime&) = delete;
+  CoopRuntime& operator=(const CoopRuntime&) = delete;
+
+  /// Suspends `from` and resumes `to`; returns when something resumes
+  /// `from`. A finished fiber passes `leaving`: nothing resumes it.
+  void switchTo(Fiber& from, Fiber& to, bool leaving = false) {
+#if defined(NODEBENCH_VT_ASAN)
+    switchingFrom = &from;
+    __sanitizer_start_switch_fiber(leaving ? nullptr : &from.fakeStack,
+                                   to.stackBottom, to.stackSize);
+#endif
+#if defined(NODEBENCH_VT_TSAN)
+    __tsan_switch_to_fiber(to.tsanFiber, 0);
+#endif
+    (void)leaving;
+#if defined(__x86_64__)
+    nodebench_vt_switch(&from.sp, to.sp);
+#else
+    NB_ENSURES(swapcontext(&from.ctx, &to.ctx) == 0);
+#endif
+    arrived(from);
+  }
+
+  /// Completes a switch in the context it resumed, `self`.
+  void arrived(Fiber& self) {
+#if defined(NODEBENCH_VT_ASAN)
+    __sanitizer_finish_switch_fiber(self.fakeStack,
+                                    &switchingFrom->stackBottom,
+                                    &switchingFrom->stackSize);
+#else
+    (void)self;
+#endif
+  }
+
+  Fiber main;
   std::vector<Fiber> fibers;
-  const std::vector<ProcessFn>* fns = nullptr;
+  const std::vector<ProcessFn>* fns;
+  Fiber* switchingFrom = nullptr;  ///< ASan: the context a switch left.
 };
 
-/// makecontext passes ints only; the scheduler pointer travels as two
-/// 32-bit halves (the portable ucontext idiom). processBody catches
-/// everything a process function can throw, so no exception ever unwinds
-/// past the fiber's root frame; returning resumes uc_link == the
-/// scheduler loop's context.
-void VirtualTimeScheduler::coopTrampoline(unsigned int hi, unsigned int lo,
+/// Every fiber starts here. processBody catches everything a process
+/// function can throw, so no exception unwinds past this frame. A finished
+/// fiber switches back to the loop in runCooperative for good.
+void VirtualTimeScheduler::coopTrampoline(VirtualTimeScheduler* self,
                                           int rank) {
-  auto* self = reinterpret_cast<VirtualTimeScheduler*>(
-      (static_cast<std::uintptr_t>(hi) << 32) |
-      static_cast<std::uintptr_t>(lo));
-  self->processBody(rank,
-                    (*self->coop_->fns)[static_cast<std::size_t>(rank)]);
+  CoopRuntime& rt = *self->coop_;
+  CoopRuntime::Fiber& fiber = rt.fibers[static_cast<std::size_t>(rank)];
+  rt.arrived(fiber);
+  self->processBody(rank, (*rt.fns)[static_cast<std::size_t>(rank)]);
+  rt.switchTo(fiber, rt.main, /*leaving=*/true);
+  std::abort();  // unreachable: nothing resumes a finished fiber
 }
 
 void VirtualTimeScheduler::coopHandOff(int rank) {
-  CoopRuntime::Fiber& from = coop_->fibers[static_cast<std::size_t>(rank)];
-  CoopRuntime::Fiber& to =
-      coop_->fibers[static_cast<std::size_t>(coopRunner_)];
-  NB_ENSURES(swapcontext(&from.ctx, &to.ctx) == 0);
+  coop_->switchTo(coop_->fibers[static_cast<std::size_t>(rank)],
+                  coop_->fibers[static_cast<std::size_t>(coopRunner_)]);
 }
 
 void VirtualTimeScheduler::runCooperative(const std::vector<ProcessFn>& fns) {
-  coop_ = std::make_unique<CoopRuntime>();
-  coop_->fns = &fns;
-  coop_->fibers.resize(fns.size());
-  const auto self = reinterpret_cast<std::uintptr_t>(this);
-  for (std::size_t i = 0; i < fns.size(); ++i) {
-    CoopRuntime::Fiber& f = coop_->fibers[i];
-    f.stack = std::make_unique<char[]>(CoopRuntime::kStackBytes);
-    NB_ENSURES(getcontext(&f.ctx) == 0);
-    f.ctx.uc_stack.ss_sp = f.stack.get();
-    f.ctx.uc_stack.ss_size = CoopRuntime::kStackBytes;
-    f.ctx.uc_link = &coop_->main;
-    makecontext(&f.ctx, reinterpret_cast<void (*)()>(&coopTrampoline), 3,
-                static_cast<unsigned int>(self >> 32),
-                static_cast<unsigned int>(self & 0xffffffffu),
-                static_cast<int>(i));
-  }
+#ifndef NDEBUG
+  const sigset_t maskAtStart = currentSignalMask();
+#endif
+  coop_ = std::make_unique<CoopRuntime>(this, fns);
+  CoopRuntime& rt = *coop_;
   coopActive_ = true;
   // Running fibers hand off to each other directly (coopHandOff), so
-  // control comes back here only when a fiber returns through uc_link.
-  // The loop starts rank 0, then after each finished fiber resumes
-  // whichever rank the finishing fiber marked Running, until none is.
+  // control comes back here only when a fiber finishes. The loop starts
+  // rank 0, then after each finished fiber resumes whichever rank the
+  // finishing fiber marked Running, until none is.
   while (true) {
     int next = -1;
     for (int i = 0; i < static_cast<int>(slots_.size()); ++i) {
@@ -147,22 +406,25 @@ void VirtualTimeScheduler::runCooperative(const std::vector<ProcessFn>& fns) {
     if (next < 0) {
       break;
     }
-    NB_ENSURES(swapcontext(&coop_->main,
-                           &coop_->fibers[static_cast<std::size_t>(next)]
-                                .ctx) == 0);
+    rt.switchTo(rt.main, rt.fibers[static_cast<std::size_t>(next)]);
   }
   if (aborted_) {
     // Mirror of thread mode's "every thread wakes and unwinds": resume the
     // remaining fibers in rank order; each observes aborted_, throws, and
     // finishes through processBody's catch.
-    for (std::size_t i = 0; i < coop_->fibers.size(); ++i) {
+    for (std::size_t i = 0; i < rt.fibers.size(); ++i) {
       while (slots_[i].state != State::Finished) {
-        NB_ENSURES(swapcontext(&coop_->main, &coop_->fibers[i].ctx) == 0);
+        rt.switchTo(rt.main, rt.fibers[i]);
       }
     }
   }
   coopActive_ = false;
   coop_.reset();
+#ifndef NDEBUG
+  // The switch does not save the signal mask, which is sound only while
+  // no rank changes it.
+  assert(sameSignalMask(maskAtStart, currentSignalMask()));
+#endif
 }
 
 bool VirtualTimeScheduler::cooperativeSupported() { return true; }

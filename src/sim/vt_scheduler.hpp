@@ -11,12 +11,10 @@
 ///
 /// Two execution modes realize the same scheduling contract (DESIGN.md §12):
 ///  - `Mode::Threads` — one OS thread per rank, handoffs via mutex +
-///    condition variable. The reference implementation; the only mode the
-///    thread sanitizer can check, and the only mode available when the
-///    build is sanitized.
-///  - `Mode::Cooperative` — all ranks run as user-level continuations
-///    (ucontext fibers) on the calling thread; a handoff is one context
-///    swap from the yielding fiber straight into the next runner's,
+///    condition variable. The reference implementation.
+///  - `Mode::Cooperative` — all ranks run as fibers on the calling thread;
+///    a handoff switches from the yielding fiber straight into the next
+///    runner's, saving only registers (x86-64; ucontext elsewhere),
 ///    instead of a kernel-level wake+sleep, which removes the dominant
 ///    wall-clock cost of simulated benchmarks on small machines. Scheduling
 ///    decisions flow through the *same* pick/switch code as thread mode, so
@@ -24,7 +22,8 @@
 ///    the `simcore` cross-check suite locks this in.
 /// The default mode is Cooperative where supported (overridable via the
 /// `NODEBENCH_VT_MODE=threads|cooperative` environment knob and
-/// `setMode`); sanitized builds always run Threads.
+/// `setMode`). ASan and TSan builds run both modes; a MemorySanitizer build
+/// runs Threads only.
 ///
 /// Blocking operations (e.g. a receive with no matching send) are expressed
 /// through `blockUntil(pred)`: the process leaves the runnable set until
@@ -129,13 +128,12 @@ class VirtualTimeScheduler {
   /// How rank processes execute. Scheduling decisions (and therefore all
   /// simulated results) are identical in both modes.
   enum class Mode {
-    Threads,      ///< One OS thread per rank (tsan-checkable reference).
-    Cooperative,  ///< ucontext fibers on the calling thread (fast path).
+    Threads,      ///< One OS thread per rank (the reference).
+    Cooperative,  ///< Fibers on the calling thread (fast path).
   };
 
-  /// Whether Cooperative mode is compiled in: requires ucontext and a
-  /// non-sanitized build (fiber stack switches confuse tsan/asan shadow
-  /// state, and Threads mode is the sanitizers' whole point anyway).
+  /// Whether Cooperative mode is compiled in: on Linux, in every build but
+  /// a MemorySanitizer one.
   [[nodiscard]] static bool cooperativeSupported();
 
   /// Process-wide default: Cooperative where supported, overridable by the
@@ -188,7 +186,7 @@ class VirtualTimeScheduler {
     State state = State::Ready;
   };
 
-  struct CoopRuntime;  // fiber contexts; defined in the .cpp (ucontext)
+  struct CoopRuntime;  // fiber stacks and contexts; defined in the .cpp
 
   // The helpers below implement one scheduling contract for both modes.
   // In thread mode the caller holds mu_ and passes the lock; in
@@ -207,11 +205,12 @@ class VirtualTimeScheduler {
   void runThreads(const std::vector<ProcessFn>& fns);
   void runCooperative(const std::vector<ProcessFn>& fns);
   /// Suspends fiber `rank` and resumes the fiber of `coopRunner_`, the
-  /// rank switchToLocked just marked Running: one context swap per
+  /// rank switchToLocked just marked Running: one fiber switch per
   /// handoff (cooperative mode only).
   void coopHandOff(int rank);
-  /// Fiber entry point (cooperative mode only; ucontext calling shim).
-  static void coopTrampoline(unsigned int hi, unsigned int lo, int rank);
+  /// First C++ frame of every fiber (cooperative mode only); never
+  /// returns.
+  static void coopTrampoline(VirtualTimeScheduler* self, int rank);
 
   std::mutex mu_;
   std::condition_variable cv_;

@@ -66,14 +66,23 @@ double betaContinuedFraction(double a, double b, double x) {
   return h;
 }
 
+/// ln Γ(x) for x > 0. std::lgamma stores the sign of Γ(x) in the global
+/// `signgam`, a data race when compare workers call it at once;
+/// lgamma_r returns the sign instead, and for x > 0 it is +1.
+double logGamma(double x) {
+  int sign = 0;
+  const double lg = ::lgamma_r(x, &sign);
+  NB_ENSURES(sign == 1);
+  return lg;
+}
+
 double regularizedIncompleteBeta(double a, double b, double x) {
   NB_EXPECTS(a > 0.0 && b > 0.0 && x >= 0.0 && x <= 1.0);
   if (x == 0.0 || x == 1.0) {
     return x;
   }
-  const double lnFront = std::lgamma(a + b) - std::lgamma(a) -
-                         std::lgamma(b) + a * std::log(x) +
-                         b * std::log1p(-x);
+  const double lnFront = logGamma(a + b) - logGamma(a) - logGamma(b) +
+                         a * std::log(x) + b * std::log1p(-x);
   // Use the continued fraction on the side where it converges fastest.
   if (x < (a + 1.0) / (a + b + 2.0)) {
     return std::exp(lnFront) * betaContinuedFraction(a, b, x) / a;

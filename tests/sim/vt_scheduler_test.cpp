@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <cfenv>
+#include <cstdint>
 #include <vector>
 
 namespace nodebench::sim {
 namespace {
 
 using namespace nodebench::literals;
+using Mode = VirtualTimeScheduler::Mode;
 
 TEST(VtScheduler, SingleProcessRunsToCompletion) {
   VirtualTimeScheduler sched;
@@ -265,6 +270,128 @@ TEST(VtScheduler, DeadlockErrorCarriesPerRankState) {
     EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
   }
 }
+
+// ---------------------------------------------------------------------------
+// The switch contract, run in both execution modes: whatever a handoff
+// saves and restores, a rank resumes with its own floating-point control
+// state and its own, untouched stack frames.
+// ---------------------------------------------------------------------------
+
+class VtSchedulerSwitch : public ::testing::TestWithParam<Mode> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == Mode::Cooperative &&
+        !VirtualTimeScheduler::cooperativeSupported()) {
+      GTEST_SKIP() << "cooperative mode not supported here";
+    }
+    sched_.setMode(GetParam());
+  }
+
+  VirtualTimeScheduler sched_;
+};
+
+/// 1/3 in the current rounding mode. The operands are volatile so the
+/// division happens at run time, after the caller's fesetround.
+[[gnu::noinline]] double oneThird() {
+  volatile double num = 1.0;
+  volatile double den = 3.0;
+  return num / den;
+}
+
+TEST_P(VtSchedulerSwitch, RoundingModeIsPerRank) {
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  const double nearest = oneThird();
+  int upwardAfterResume = -1;
+  double quotientAfterResume = 0.0;
+  std::vector<int> peerModes;
+  std::vector<double> peerQuotients;
+  sched_.run({
+      [&](VirtualProcess& p) {
+        std::fesetround(FE_UPWARD);
+        p.advance(1_us);  // rank 1 (still at t=0) runs before this resumes
+        upwardAfterResume = std::fegetround();
+        quotientAfterResume = oneThird();
+        std::fesetround(FE_TONEAREST);
+      },
+      [&](VirtualProcess& p) {
+        peerModes.push_back(std::fegetround());
+        peerQuotients.push_back(oneThird());
+        p.advance(2_us);  // hands back to rank 0, resumes after it ends
+        peerModes.push_back(std::fegetround());
+        peerQuotients.push_back(oneThird());
+      },
+  });
+  EXPECT_EQ(upwardAfterResume, FE_UPWARD);
+  EXPECT_GT(quotientAfterResume, nearest);  // SSE arithmetic rounds up too
+  EXPECT_EQ(peerModes, (std::vector<int>{FE_TONEAREST, FE_TONEAREST}));
+  EXPECT_EQ(peerQuotients, (std::vector<double>{nearest, nearest}));
+  EXPECT_EQ(sched_.switchCount(), 3u);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  std::fesetround(FE_TONEAREST);  // keeps a leaked mode out of later tests
+}
+
+/// Fills a 1 KiB frame with a pattern unique to (rank, depth), yields,
+/// checks the frame, recurses one level deeper, yields and checks it
+/// again. `frames` records each frame's address, which also makes the
+/// frame escape, so the compiler must re-read it after every yield.
+void recurseAndYield(VirtualProcess& p, int depth,
+                     std::vector<std::uintptr_t>& frames, int& corrupt) {
+  std::array<std::uint64_t, 128> frame;
+  const auto word = [&](std::size_t i) {
+    return (static_cast<std::uint64_t>(p.rank()) << 48) ^
+           (static_cast<std::uint64_t>(depth) << 16) ^ (i * 0x9e3779b9u);
+  };
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    frame[i] = word(i);
+  }
+  frames.push_back(reinterpret_cast<std::uintptr_t>(frame.data()));
+  const auto check = [&] {
+    for (std::size_t i = 0; i < frame.size(); ++i) {
+      corrupt += frame[i] != word(i) ? 1 : 0;
+    }
+  };
+  p.advance(Duration::nanoseconds(1.0));
+  check();
+  if (depth > 0) {
+    recurseAndYield(p, depth - 1, frames, corrupt);
+  }
+  p.advance(Duration::nanoseconds(1.0));
+  check();
+}
+
+TEST_P(VtSchedulerSwitch, DeepStacksStayIntactAcrossYields) {
+  constexpr int kDepth = 256;  // 256 frames of 1 KiB: ~256 KiB per rank
+  std::array<std::vector<std::uintptr_t>, 2> frames;
+  std::array<int, 2> corrupt{0, 0};
+  const auto rankFn = [&](int rank) {
+    return [&, rank](VirtualProcess& p) {
+      recurseAndYield(p, kDepth - 1, frames[static_cast<std::size_t>(rank)],
+                      corrupt[static_cast<std::size_t>(rank)]);
+    };
+  };
+  sched_.run({rankFn(0), rankFn(1)});
+  EXPECT_EQ(corrupt[0], 0);
+  EXPECT_EQ(corrupt[1], 0);
+  // Every frame of both ranks was live at once at the deepest level, so
+  // no two may overlap.
+  std::vector<std::uintptr_t> all = frames[0];
+  all.insert(all.end(), frames[1].begin(), frames[1].end());
+  ASSERT_EQ(all.size(), 2u * kDepth);
+  std::sort(all.begin(), all.end());
+  for (std::size_t i = 1; i < all.size(); ++i) {
+    EXPECT_GE(all[i] - all[i - 1], sizeof(std::uint64_t) * 128)
+        << "frames " << i - 1 << " and " << i << " overlap";
+  }
+  // 2 x 2 x kDepth advances each hand over, plus rank 0's finish.
+  EXPECT_EQ(sched_.switchCount(), 4u * kDepth + 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, VtSchedulerSwitch,
+    ::testing::Values(Mode::Threads, Mode::Cooperative),
+    [](const ::testing::TestParamInfo<Mode>& mode) {
+      return mode.param == Mode::Threads ? "threads" : "cooperative";
+    });
 
 }  // namespace
 }  // namespace nodebench::sim
