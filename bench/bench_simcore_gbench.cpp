@@ -22,6 +22,7 @@
 #include "netsim/network.hpp"
 #include "osu/latency.hpp"
 #include "osu/pairs.hpp"
+#include "report/tables.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/vt_scheduler.hpp"
 #include "trace/trace.hpp"
@@ -299,6 +300,22 @@ void BM_OsuMeasureTruthReused(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OsuMeasureTruthReused);
+
+// --- noise draws: the Table 1 sweep ----------------------------------------
+
+void BM_OmpSweep(benchmark::State& state) {
+  // Table 4's host bandwidth cell on one card: eight OpenMP combinations
+  // x five ops x Arg binary runs, with no trace session and no capture
+  // (model truths evaluated once per combination and op).
+  const auto& m = machines::byName("Eagle");
+  report::TableOptions opt;
+  opt.binaryRuns = static_cast<int>(state.range(0));
+  opt.jobs = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(report::ompSweep(m, opt).bestAll.mean);
+  }
+}
+BENCHMARK(BM_OmpSweep)->Arg(100)->Arg(8000)->Unit(benchmark::kMicrosecond);
 
 // --- tracing overhead --------------------------------------------------------
 

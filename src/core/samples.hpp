@@ -19,10 +19,9 @@
 /// Thread-locality is safe because of the parallel harness's nesting
 /// contract (DESIGN.md §7): nested parallel sections run inline,
 /// sequentially, on the same worker thread, so every sample a cell body
-/// produces lands on the thread that installed the capture. A nested
-/// capture (e.g. the per-configuration sweep inside the Table 4 host
-/// bandwidth cell) shadows its parent for its lifetime, which is what
-/// lets the sweep attribute samples to individual configurations.
+/// produces lands on the thread that installed the capture. A capture
+/// installed while another is active shadows it for its lifetime and
+/// restores it on destruction.
 
 #include <map>
 #include <string>

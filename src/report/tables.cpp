@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -162,60 +164,49 @@ Table buildTable3() {
 
 OmpSweepResult ompSweep(const Machine& m, const TableOptions& opt,
                         std::uint64_t seedSalt) {
-  OmpSweepResult out;
   const auto configs =
       ompenv::table1Combinations(m.coreCount(), m.hardwareThreadCount());
-  // Fan the independent environment combinations out over the harness
-  // workers, then reduce sequentially in Table 1 order so the
-  // strictly-greater / first-wins tie-break matches the sequential sweep.
-  // When the caller has a sample capture active (a --store run), each
-  // configuration installs its own nested capture so the winning op's
-  // raw draws can be attributed per entry. The nested capture shadows the
-  // cell-level one for its lifetime; without an active capture the sweep
-  // skips the bookkeeping entirely.
-  const bool capturing = activeSampleCapture() != nullptr;
-  out.entries = par::parallelMap(
-      configs,
-      [&](const ompenv::OmpConfig& cfg) {
-        std::optional<SampleCapture> cap;
-        if (capturing) {
-          cap.emplace();
-        }
-        babelstream::SimOmpBackend backend(m, cfg);
-        babelstream::DriverConfig dcfg;
-        dcfg.arrayBytes = opt.cpuArrayBytes;
-        dcfg.binaryRuns = opt.binaryRuns;
-        dcfg.seed ^= m.seed ^ seedSalt;
-        const auto result = babelstream::run(backend, dcfg);
-        const auto& best = result.best();
-        std::string bestOp(babelstream::streamOpName(best.op));
-        OmpSweepEntry entry{cfg.toString(), best.bandwidthGBps, bestOp, {}};
-        if (cap) {
-          entry.samples = cap->take(bestOp);
-        }
-        return entry;
-      },
-      opt.jobs);
-  bool haveSingle = false;
-  bool haveAll = false;
+  // All eight combinations share one seed and two noise cvs, so one
+  // noise loop measures them together (babelstream::run over several
+  // backends), drawing each run's factor once per cv.
+  std::deque<babelstream::SimOmpBackend> backends;
+  std::vector<babelstream::Backend*> measured;
+  for (const ompenv::OmpConfig& cfg : configs) {
+    measured.push_back(&backends.emplace_back(m, cfg));
+  }
+  babelstream::DriverConfig dcfg;
+  dcfg.arrayBytes = opt.cpuArrayBytes;
+  dcfg.binaryRuns = opt.binaryRuns;
+  dcfg.seed ^= m.seed ^ seedSalt;
+  const std::vector<babelstream::RunResult> results =
+      babelstream::run(measured, dcfg);
+  // Reduce in Table 1 order: strictly greater, first wins.
+  OmpSweepResult out;
+  std::optional<std::size_t> single;
+  std::optional<std::size_t> all;
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    const Summary& gbps = out.entries[i].bestOpGBps;
-    const bool single = configs[i].numThreads.value_or(2) == 1;
-    if (single) {
-      if (!haveSingle || gbps.mean > out.bestSingle.mean) {
-        out.bestSingle = gbps;
-        out.bestSingleSamples = out.entries[i].samples;
-        haveSingle = true;
-      }
-    } else {
-      if (!haveAll || gbps.mean > out.bestAll.mean) {
-        out.bestAll = gbps;
-        out.bestAllSamples = out.entries[i].samples;
-        haveAll = true;
-      }
+    const babelstream::OpResult& best = results[i].best();
+    out.entries.push_back(OmpSweepEntry{
+        configs[i].toString(), best.bandwidthGBps,
+        std::string(babelstream::streamOpName(best.op))});
+    std::optional<std::size_t>& winner =
+        configs[i].numThreads.value_or(2) == 1 ? single : all;
+    if (!winner || best.bandwidthGBps.mean >
+                       out.entries[*winner].bestOpGBps.mean) {
+      winner = i;
     }
   }
-  NB_ENSURES(haveSingle && haveAll);
+  NB_ENSURES(single && all);
+  out.bestSingle = out.entries[*single].bestOpGBps;
+  out.bestAll = out.entries[*all].bestOpGBps;
+  // A --store run keeps the two winners' raw draws, drawn again from their
+  // truths rather than recorded for all eight combinations.
+  if (activeSampleCapture() != nullptr) {
+    out.bestSingleSamples = babelstream::replaySamples(
+        backends[*single], results[*single].best(), dcfg);
+    out.bestAllSamples = babelstream::replaySamples(
+        backends[*all], results[*all].best(), dcfg);
+  }
   return out;
 }
 
@@ -240,9 +231,7 @@ std::vector<Cpu4Row> computeTable4(const TableOptions& opt,
     opt.shard->registerTable("table 4", std::move(grid), opt.journal);
   }
   // Three independent cells per machine; each task writes distinct fields
-  // of its pre-allocated row (and its own incident slot). The sweep runs
-  // its configs inline here (nested sections stay sequential) — the
-  // machine fan-out already feeds every worker.
+  // of its pre-allocated row (and its own incident slot).
   std::vector<CellIncident> slots(ms.size() * 3);
   par::parallelForEach(
       slots.size(),

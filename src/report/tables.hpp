@@ -191,23 +191,22 @@ struct Gpu6Row {
 [[nodiscard]] Table buildTable8();
 [[nodiscard]] Table buildTable9();
 
-/// Helper shared with the Table 1 sweep bench: best bound single-thread
-/// and best overall full-team bandwidth across the Table 1 environment
-/// combinations, plus the per-combination detail.
+/// The Table 1 sweep behind Table 4's host bandwidth cell: the best op of
+/// each Table 1 environment combination, and the best single-thread and
+/// best full-team bandwidth across them.
 struct OmpSweepEntry {
   std::string config;
   Summary bestOpGBps;
   std::string bestOpName;
-  /// Raw per-binary-run draws of the best op; populated only when a
-  /// sample capture (core/samples.hpp) was active around the sweep.
-  std::vector<double> samples;
 };
 struct OmpSweepResult {
   std::vector<OmpSweepEntry> entries;  ///< One per Table 1 row, in order.
   Summary bestSingle;
   Summary bestAll;
-  std::vector<double> bestSingleSamples;  ///< Raw draws behind bestSingle.
-  std::vector<double> bestAllSamples;     ///< Raw draws behind bestAll.
+  /// Raw per-binary-run draws behind bestSingle and bestAll; filled only
+  /// when a sample capture (core/samples.hpp) is active around the sweep.
+  std::vector<double> bestSingleSamples;
+  std::vector<double> bestAllSamples;
 };
 /// `seedSalt` perturbs the per-binary noise streams (0 reproduces the
 /// historical sweep bit-for-bit); the harness passes a deterministic

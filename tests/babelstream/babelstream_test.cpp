@@ -153,9 +153,13 @@ TEST(Driver, BandwidthIncreasesWithSizeUntilPlateau) {
     const auto& m = byName(name);
     SimDeviceBackend backend(m, 0);
     DriverConfig cfg;
-    cfg.arrayBytes = ByteCount::mib(256);
     cfg.binaryRuns = 5;
-    const auto sweep = sizeSweep(backend, StreamOp::Triad, cfg);
+    std::vector<OpResult> sweep;
+    for (ByteCount size = ByteCount::kib(16); size <= ByteCount::mib(256);
+         size = size * 2ull) {
+      cfg.arrayBytes = size;
+      sweep.push_back(measureOne(backend, StreamOp::Triad, cfg));
+    }
     ASSERT_GT(sweep.size(), 10u);
     EXPECT_LT(sweep.front().bandwidthGBps.mean,
               0.5 * sweep.back().bandwidthGBps.mean)
