@@ -392,15 +392,19 @@ FramedLogFile::FramedLogFile(const char* label, std::string path, int fd,
       synced_(synced),
       lastCommit_(std::chrono::steady_clock::now()) {}
 
-FramedLogFile FramedLogFile::create(const FramedLogFormat& format,
-                                    const std::string& path,
-                                    std::span<const std::uint8_t> header) {
+void refuseExistingLog(std::string_view label, const std::string& path) {
   struct stat st {};
-  if (::stat(path.c_str(), &st) == 0) {
-    throw Error(std::string(format.label) + " file already exists: " + path +
+  if (!path.empty() && ::stat(path.c_str(), &st) == 0) {
+    throw Error(std::string(label) + " file already exists: " + path +
                 " (pass --resume to continue the recorded campaign, or "
                 "remove the file to start fresh)");
   }
+}
+
+FramedLogFile FramedLogFile::create(const FramedLogFormat& format,
+                                    const std::string& path,
+                                    std::span<const std::uint8_t> header) {
+  refuseExistingLog(format.label, path);
   io::atomicWrite(path, header, format.label);
   return FramedLogFile(format.label, path, openForAppend(path, format.label),
                        header.size(), /*synced=*/true);

@@ -197,6 +197,11 @@ struct DecodedLog {
     const FramedLogFormat& format, const CampaignConfig& recorded,
     const CampaignConfig& current);
 
+/// Refuses to start a log over an existing file: "<label> file already
+/// exists: <path> (pass --resume ...)". Resuming must be an explicit
+/// decision, not an accident. An empty path names no file.
+void refuseExistingLog(std::string_view label, const std::string& path);
+
 /// The append side of one log file, with group commit. `append` writes
 /// one frame to the file before it returns, so a killed process loses
 /// nothing and every reader sees the frame; it does not fsync. `commit`
@@ -213,8 +218,8 @@ class FramedLogFile {
   static constexpr std::chrono::milliseconds kCommitWindow{100};
 
   /// Writes `header` as a fresh file at `path` (temp, fsync, rename) and
-  /// opens it for appending. Refuses to overwrite an existing file —
-  /// resuming must be an explicit decision (`--resume`), not an accident.
+  /// opens it for appending. Refuses to overwrite an existing file
+  /// (refuseExistingLog).
   [[nodiscard]] static FramedLogFile create(
       const FramedLogFormat& format, const std::string& path,
       std::span<const std::uint8_t> header);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/json_value.hpp"
+
 namespace nodebench::campaign {
 
 namespace {
@@ -586,42 +588,6 @@ MergedCampaign mergeShardJournals(const std::vector<ShardInput>& shards,
 std::string renderGapManifest(const MergedCampaign& merged) {
   // Minimal stable JSON: sorted arrays, no timestamps, two-space indent —
   // reruns of the same partial campaign produce byte-identical manifests.
-  const auto escape = [](std::string_view s) {
-    std::string out;
-    out.reserve(s.size() + 2);
-    out.push_back('"');
-    for (const char c : s) {
-      switch (c) {
-        case '"':
-          out += "\\\"";
-          break;
-        case '\\':
-          out += "\\\\";
-          break;
-        case '\n':
-          out += "\\n";
-          break;
-        case '\r':
-          out += "\\r";
-          break;
-        case '\t':
-          out += "\\t";
-          break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            constexpr char kHex[] = "0123456789abcdef";
-            out += "\\u00";
-            out.push_back(kHex[(c >> 4) & 0xf]);
-            out.push_back(kHex[c & 0xf]);
-          } else {
-            out.push_back(c);
-          }
-      }
-    }
-    out.push_back('"');
-    return out;
-  };
-
   std::string json = "{\n";
   json += "  \"schema\": \"nodebench-gap-manifest-v1\",\n";
   json += "  \"shards\": " + std::to_string(merged.shardCount) + ",\n";
@@ -636,7 +602,9 @@ std::string renderGapManifest(const MergedCampaign& merged) {
     json += i ? ",\n    " : "\n    ";
     json += "{\"shard\": " + std::to_string(gap.shard) +
             ", \"attempts\": " + std::to_string(gap.attempts) +
-            ", \"last_incident\": " + escape(gap.lastIncident) + "}";
+            ", \"last_incident\": ";
+    appendJsonString(json, gap.lastIncident);
+    json += "}";
   }
   json += merged.missingShards.empty() ? "],\n" : "\n  ],\n";
   json += "  \"total_cells\": " + std::to_string(merged.grid.size()) + ",\n";
@@ -647,9 +615,11 @@ std::string renderGapManifest(const MergedCampaign& merged) {
   for (std::size_t i = 0; i < merged.missingCells.size(); ++i) {
     const std::size_t g = merged.missingCells[i];
     json += i ? ",\n    " : "\n    ";
-    json += "{\"machine\": " + escape(merged.grid[g].machine) +
-            ", \"cell\": " + escape(merged.grid[g].cell) +
-            ", \"shard\": " + std::to_string(merged.ownerShard[g]) + "}";
+    json += "{\"machine\": ";
+    appendJsonString(json, merged.grid[g].machine);
+    json += ", \"cell\": ";
+    appendJsonString(json, merged.grid[g].cell);
+    json += ", \"shard\": " + std::to_string(merged.ownerShard[g]) + "}";
   }
   json += merged.missingCells.empty() ? "]\n" : "\n  ]\n";
   json += "}\n";

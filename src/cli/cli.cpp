@@ -23,13 +23,9 @@
 
 #include "cli/cli.hpp"
 
-#include <sys/wait.h>
-
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
@@ -124,8 +120,11 @@ std::string usageText() {
       "          [--runs N] [--jobs N] [--faults F] [--resume]\n"
       "          [--merge-out F] [--merge-store-out F]  fork N worker\n"
       "          processes, each measuring shard i/N into\n"
-      "          BASE.shard<i>of<N>; exits 43 when a worker was\n"
-      "          interrupted (rerun with --resume to finish)\n"
+      "          BASE.shard<i>of<N> (one attempt each); exits 43 when\n"
+      "          interrupted (rerun with --resume to finish), 44 when a\n"
+      "          worker failed (its slice is a gap: partial merge + gap\n"
+      "          manifest); without --resume, refuses existing shard\n"
+      "          files and merge outputs\n"
       "  merge --out F [--stores S]... [--store-out F] <journals...>\n"
       "          validate a complete shard set and write the merged\n"
       "          journal (and store) byte-identical to a single-process\n"
@@ -149,7 +148,8 @@ std::string usageText() {
       "          their crash-safe journals; after K failures a shard is\n"
       "          quarantined and the merge degrades to --allow-partial\n"
       "          (exit 44, gap manifest); the supervisor itself survives\n"
-      "          SIGKILL via its own journal + --resume\n"
+      "          SIGKILL via its own journal + --resume; exits 43 and\n"
+      "          refuses existing files as `shard` does\n"
       "  serve --socket PATH|--port N [--state-dir D] [--resume]\n"
       "          [--queue-depth N] [--tenant-queue N] [--tenant-inflight N]\n"
       "          [--executors N] [--io-threads N] [--memo-max-entries N]\n"
@@ -633,100 +633,37 @@ int cmdMerge(const Parsed& args) {
   return stats::writeMerge(args.positionals, stores, out, mopt);
 }
 
-/// The merge outputs of the two drivers, `shard` and `supervise`.
-stats::MergeOutputs driverMergeOutputs(const Parsed& args) {
-  stats::MergeOutputs out;
-  args.read("--merge-out", out.journal);
-  args.read("--merge-store-out", out.store);
-  args.read("--gap-out", out.gaps);
-  return out;
-}
-
-/// `nodebench shard`: the multi-process campaign driver. Starts N worker
-/// processes, each running this same binary as `table <which> --shard
-/// i/N` with a shard-suffixed journal (and store). Worker stdout is
-/// discarded (the deliverable is the shard artifacts); stderr is
-/// inherited so journal chatter and errors stay visible.
-int cmdShard(const Parsed& args) {
-  CampaignSpec spec = CampaignSpec::parse(args);
-  spec.selector = args.positionals[0];
-  // Resolved, and existing merge outputs refused, before any worker
-  // forks: either refusal after the campaign would leave shard journals
-  // that make a plain rerun fail.
-  (void)report::selectReports(spec.selector);
-  const stats::MergeOutputs mergeOut = driverMergeOutputs(args);
-  mergeOut.refuseExisting();
-
-  const std::uint32_t count = spec.shards;
-  const std::vector<std::string> journalPaths = spec.shardFiles(spec.journal);
-  const std::vector<std::string> storePaths = spec.shardFiles(spec.store);
-  std::vector<pid_t> pids;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    // A worker resumes only when its own journal already exists: on the
-    // first --resume after a partial campaign, finished shards replay,
-    // never-started shards begin fresh.
-    const bool resume =
-        spec.resume && std::filesystem::exists(journalPaths[i]);
-    pids.push_back(report::spawnWorker(
-        spec.workerArgv(i, resume, spec.hooks, /*heartbeatWorker=*/false)));
-    std::cerr << "nodebench shard: worker "
-              << campaign::shardSpecText(campaign::ShardSpec{i, count})
-              << " (pid " << pids[i] << ") -> " << journalPaths[i] << "\n";
-  }
-
-  bool interrupted = false;
-  bool failed = false;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    int status = 0;
-    if (::waitpid(pids[i], &status, 0) < 0) {
-      throw Error(std::string("waitpid failed: ") + std::strerror(errno));
-    }
-    const std::string name =
-        campaign::shardSpecText(campaign::ShardSpec{i, count});
-    if (WIFEXITED(status)) {
-      const int code = WEXITSTATUS(status);
-      if (code == 0) {
-        continue;
-      }
-      if (code == kInterruptedExitCode) {
-        std::cerr << "nodebench shard: worker " << name
-                  << " was interrupted (its journal is intact)\n";
-        interrupted = true;
-        continue;
-      }
-      std::cerr << "nodebench shard: worker " << name
-                << " failed with exit code " << code << "\n";
-      failed = true;
-    } else if (WIFSIGNALED(status)) {
-      std::cerr << "nodebench shard: worker " << name << " was killed by "
-                << "signal " << WTERMSIG(status)
-                << " (rerun with --resume to finish its slice)\n";
-      interrupted = true;
-    }
-  }
-  if (failed) {
-    throw Error("one or more shard workers failed; see messages above");
-  }
-  if (interrupted) {
-    std::cerr << "nodebench shard: campaign incomplete; rerun the same "
-                 "command with --resume to finish, then merge\n";
-    return kInterruptedExitCode;
-  }
-  if (!mergeOut.journal.empty()) {
-    return stats::writeMerge(journalPaths, storePaths, mergeOut);
-  }
-  std::cout << "sharded campaign complete: " << count << " journal(s) at "
-            << spec.journal << ".shard*of" << count
-            << "; combine with `nodebench merge`\n";
-  return 0;
-}
-
-/// `nodebench supervise`: the fault-tolerant lease-based campaign
-/// coordinator (see supervise/supervisor.hpp for the protocol).
-int cmdSupervise(const Parsed& args) {
+/// What the two drivers, `shard` and `supervise`, set alike: the
+/// campaign, its merge outputs, and the interrupt token the launcher
+/// drains on (SIGTERM to the workers, exit 43, journals intact for
+/// --resume).
+supervise::SuperviseOptions driverOptions(const Parsed& args) {
   supervise::SuperviseOptions sopt;
   sopt.campaign = CampaignSpec::parse(args);
   sopt.campaign.selector = args.positionals[0];
+  args.read("--merge-out", sopt.merge.journal);
+  args.read("--merge-store-out", sopt.merge.store);
+  args.read("--gap-out", sopt.merge.gaps);
+  installInterruptHandlers();
+  sopt.stopFlag = &interruptToken();
+  return sopt;
+}
+
+/// `nodebench shard`: the launcher (see supervise/supervisor.hpp) with
+/// one attempt per shard and no supervisor journal. A failed shard
+/// becomes a gap (exit 44); --resume relaunches every shard, and the
+/// finished ones replay their journals.
+int cmdShard(const Parsed& args) {
+  supervise::SuperviseOptions sopt = driverOptions(args);
+  sopt.maxAttempts = 1;
+  return supervise::runSupervise(sopt);
+}
+
+/// `nodebench supervise`: the launcher with retries, backoff and a
+/// supervisor journal (see supervise/supervisor.hpp for the protocol).
+int cmdSupervise(const Parsed& args) {
+  supervise::SuperviseOptions sopt = driverOptions(args);
+  sopt.supervisorJournalPath = sopt.campaign.journal + ".supervisor";
   args.read("--workers", sopt.workers);
   args.read("--supervisor-journal", sopt.supervisorJournalPath);
   args.read("--max-attempts", sopt.maxAttempts);
@@ -734,17 +671,7 @@ int cmdSupervise(const Parsed& args) {
   args.read("--backoff-cap-ms", sopt.backoff.capMs);
   args.read("--heartbeat-timeout-ms", sopt.heartbeatTimeoutMs);
   args.read("--attempt-timeout-ms", sopt.attemptTimeoutMs);
-  sopt.merge = driverMergeOutputs(args);
-  // The event loop drains on the token: SIGTERM to the workers, exit 43,
-  // journal intact for --resume.
-  installInterruptHandlers();
-  sopt.stopFlag = &interruptToken();
-  const int code = supervise::runSupervise(sopt);
-  if (code == kInterruptedExitCode) {
-    std::cerr << "nodebench supervise: campaign interrupted; rerun the "
-                 "same command with --resume to finish\n";
-  }
-  return code;
+  return supervise::runSupervise(sopt);
 }
 
 /// `nodebench serve`: the crash-tolerant measurement daemon (see

@@ -2,10 +2,10 @@
 /// \file deadline.hpp
 /// \brief Shared wall-clock deadline tracking for watchdog loops.
 ///
-/// Two subsystems poll deadlines from a dedicated thread: the serve
-/// daemon's per-request watchdog (cancel a stuck request) and the
-/// supervise coordinator's heartbeat/straggler monitor (expire a worker
-/// lease). Before this file each carried its own scan-the-table loop;
+/// Two loops watch deadlines: the serve daemon's per-request watchdog
+/// thread (cancel a stuck request) and the campaign launcher's event
+/// loop (expire a worker lease), which sleeps toward nextDeadline().
+/// Before this file each carried its own scan-the-table loop;
 /// `DeadlineMonitor` centralizes the armed-deadline registry so both
 /// share one tested implementation of the arm/disarm/expire lifecycle.
 ///

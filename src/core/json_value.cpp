@@ -1,6 +1,7 @@
 #include "core/json_value.hpp"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 
 #include "core/utf8.hpp"
@@ -291,6 +292,29 @@ class JsonParser {
   std::size_t pos_ = 0;
   std::size_t depth_ = 0;
 };
+
+void appendJsonString(std::string& out, std::string_view s) {
+  out.push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  out.push_back('"');
+}
 
 JsonValue JsonValue::parse(std::string_view text) {
   if (text.size() > kMaxJsonBytes) {

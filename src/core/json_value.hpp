@@ -1,6 +1,7 @@
 #pragma once
 /// \file json_value.hpp
-/// \brief Minimal JSON reader shared by every input boundary.
+/// \brief Minimal JSON reader shared by every input boundary, and the one
+/// JSON string escaper every writer uses.
 ///
 /// The repository deliberately has no external dependencies. This small
 /// recursive-descent parser covers the JSON subset our input formats
@@ -60,5 +61,11 @@ class JsonValue {
   std::vector<JsonValue> array_;
   std::map<std::string, JsonValue, std::less<>> object_;
 };
+
+/// Appends `s` to `out` as a quoted JSON string: quote and backslash
+/// escaped, \n \r \t as such, every other control character as \u00XX.
+/// The tables' JSON export, the gap manifest, the trace file and the
+/// serve replies all write strings through it.
+void appendJsonString(std::string& out, std::string_view s);
 
 }  // namespace nodebench

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "core/error.hpp"
+
 namespace nodebench {
 
 namespace {
@@ -10,11 +12,12 @@ thread_local SampleCapture* tActiveCapture = nullptr;
 
 }  // namespace
 
-SampleCapture::SampleCapture() : prev_(tActiveCapture) {
+SampleCapture::SampleCapture() {
+  NB_EXPECTS(tActiveCapture == nullptr);
   tActiveCapture = this;
 }
 
-SampleCapture::~SampleCapture() { tActiveCapture = prev_; }
+SampleCapture::~SampleCapture() { tActiveCapture = nullptr; }
 
 void SampleCapture::record(std::string_view channel, double value) {
   const auto it = channels_.find(channel);
@@ -33,12 +36,6 @@ std::vector<double> SampleCapture::take(std::string_view channel) {
   std::vector<double> out = std::move(it->second);
   channels_.erase(it);
   return out;
-}
-
-const std::vector<double>* SampleCapture::find(
-    std::string_view channel) const {
-  const auto it = channels_.find(channel);
-  return it == channels_.end() ? nullptr : &it->second;
 }
 
 SampleCapture* activeSampleCapture() { return tActiveCapture; }

@@ -9,19 +9,20 @@
 /// confidence intervals and rank tests need the full sample vector.
 ///
 /// `SampleCapture` is the bridge. A harness that wants raw samples
-/// installs a capture (RAII, thread-local stack) around a measurement;
+/// installs a capture (RAII, one per thread) around a measurement;
 /// the instrumented loops call `recordSample(channel, value)` next to
-/// their `Welford::add`, which appends to the innermost active capture
-/// on the current thread and is a null-check no-op otherwise — an
+/// their `Welford::add`, which appends to the active capture on the
+/// current thread and is a null-check no-op otherwise — an
 /// uninstrumented run costs one thread-local load per sample and stays
 /// byte-identical to the pre-capture harness.
 ///
 /// Thread-locality is safe because of the parallel harness's nesting
 /// contract (DESIGN.md §7): nested parallel sections run inline,
 /// sequentially, on the same worker thread, so every sample a cell body
-/// produces lands on the thread that installed the capture. A capture
-/// installed while another is active shadows it for its lifetime and
-/// restores it on destruction.
+/// produces lands on the thread that installed the capture. Captures do
+/// not nest: one cell body owns the thread's capture, and a measurement
+/// that needs to know whether samples are wanted asks
+/// activeSampleCapture() instead of installing its own.
 
 #include <map>
 #include <string>
@@ -31,9 +32,10 @@
 namespace nodebench {
 
 /// One active capture scope: samples recorded on this thread while it is
-/// the innermost capture accumulate here, keyed by channel name.
+/// installed accumulate here, keyed by channel name.
 class SampleCapture {
  public:
+  /// Precondition: no capture is active on this thread.
   SampleCapture();
   ~SampleCapture();
   SampleCapture(const SampleCapture&) = delete;
@@ -46,20 +48,16 @@ class SampleCapture {
   /// never recorded); subsequent takes of the same channel are empty.
   [[nodiscard]] std::vector<double> take(std::string_view channel);
 
-  /// The channel's samples so far, or nullptr when never recorded.
-  [[nodiscard]] const std::vector<double>* find(
-      std::string_view channel) const;
 
  private:
   std::map<std::string, std::vector<double>, std::less<>> channels_;
-  SampleCapture* prev_ = nullptr;  ///< Shadowed enclosing capture.
 };
 
-/// The innermost capture active on this thread, or nullptr.
+/// The capture active on this thread, or nullptr.
 [[nodiscard]] SampleCapture* activeSampleCapture();
 
-/// Appends `value` to the innermost active capture's `channel`; no-op
-/// when no capture is installed on this thread.
+/// Appends `value` to the active capture's `channel`; no-op when no
+/// capture is installed on this thread.
 void recordSample(std::string_view channel, double value);
 
 }  // namespace nodebench

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "core/json_value.hpp"
+
 namespace nodebench {
 
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {
@@ -181,44 +183,17 @@ std::string Table::renderCsv() const {
   return out;
 }
 
-namespace {
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
-
 std::string Table::renderJson() const {
-  std::string out = "{\n  \"title\": " + jsonEscape(title_) +
-                    ",\n  \"caption\": " + jsonEscape(caption_) +
-                    ",\n  \"headers\": [";
+  std::string out = "{\n  \"title\": ";
+  appendJsonString(out, title_);
+  out += ",\n  \"caption\": ";
+  appendJsonString(out, caption_);
+  out += ",\n  \"headers\": [";
   for (std::size_t c = 0; c < headers_.size(); ++c) {
     if (c != 0) {
       out += ", ";
     }
-    out += jsonEscape(headers_[c]);
+    appendJsonString(out, headers_[c]);
   }
   out += "],\n  \"rows\": [\n";
   bool firstRow = true;
@@ -235,7 +210,7 @@ std::string Table::renderJson() const {
       if (c != 0) {
         out += ", ";
       }
-      out += jsonEscape(row[c]);
+      appendJsonString(out, row[c]);
     }
     out += "]";
   }

@@ -102,34 +102,4 @@ CacheHierarchy epycCacheHierarchy(int coresPerCcx, double l3MibPerCcx,
   return h;
 }
 
-CacheHierarchy a64fxCacheHierarchy() {
-  CacheHierarchy h;
-  const double clockGHz = 2.0;
-  // 64 KiB L1d with 256-byte lines feeding 512-bit SVE pipes; 8 MiB L2
-  // per 12-core CMG; no L3 — HBM2 sits directly behind L2.
-  h.levels.push_back(level("L1d", ByteCount::kib(64), cycles(5.0, clockGHz),
-                           /*perCoreGBps=*/230.0, /*sharedByCores=*/1,
-                           ByteCount::bytes(256)));
-  h.levels.push_back(level("L2", ByteCount::mib(8), cycles(40.0, clockGHz),
-                           /*perCoreGBps=*/115.0, /*sharedByCores=*/12,
-                           ByteCount::bytes(256)));
-  h.memoryLatency = Duration::nanoseconds(125.0);
-  h.coreClockGHz = clockGHz;
-  return h;
-}
-
-CacheHierarchy altraCacheHierarchy(int coresPerSocket) {
-  CacheHierarchy h;
-  const double clockGHz = 3.0;
-  h.levels.push_back(level("L1d", ByteCount::kib(64), cycles(4.0, clockGHz),
-                           /*perCoreGBps=*/90.0, /*sharedByCores=*/1));
-  h.levels.push_back(level("L2", ByteCount::mib(1), cycles(11.0, clockGHz),
-                           /*perCoreGBps=*/45.0, /*sharedByCores=*/1));
-  h.levels.push_back(level("SLC", ByteCount::mib(32), cycles(90.0, clockGHz),
-                           /*perCoreGBps=*/24.0, coresPerSocket));
-  h.memoryLatency = Duration::nanoseconds(130.0);
-  h.coreClockGHz = clockGHz;
-  return h;
-}
-
 }  // namespace nodebench::machines

@@ -6,7 +6,7 @@
 /// fills in the family-invariant structure.
 ///
 /// All quantities are public-spec or published-microbenchmark numbers
-/// for the same silicon (Intel/AMD/IBM/Fujitsu datasheets; the
+/// for the same silicon (Intel/AMD/IBM datasheets; the
 /// Broadwell/Cascade Lake cache study of Alappat et al. for the Xeon
 /// latency ladder shape). None of them is calibrated against the paper:
 /// the paper reports only DRAM-sized working sets, and the conformance
@@ -37,19 +37,11 @@ namespace nodebench::machines {
 [[nodiscard]] CacheHierarchy power9CacheHierarchy(int coresPerSocket,
                                                   double clockGHz);
 
-/// AMD Zen 2/3 EPYC (Perlmutter, Polaris, Frontier-class hosts, Milan
-/// reference node): 32 KiB L1d, 512 KiB private L2, and an L3 complex of
-/// `l3MibPerCcx` shared by `coresPerCcx` cores.
+/// AMD Zen 2/3 EPYC (Perlmutter, Polaris, Frontier-class hosts): 32 KiB
+/// L1d, 512 KiB private L2, and an L3 complex of `l3MibPerCcx` shared by
+/// `coresPerCcx` cores.
 [[nodiscard]] CacheHierarchy epycCacheHierarchy(int coresPerCcx,
                                                 double l3MibPerCcx,
                                                 double clockGHz);
-
-/// Fujitsu A64FX (reference node): 64 KiB L1d, 8 MiB L2 per 12-core
-/// CMG, no L3, HBM2 main memory.
-[[nodiscard]] CacheHierarchy a64fxCacheHierarchy();
-
-/// Ampere Altra Q80-30 (reference node): Neoverse-N1 64 KiB L1d, 1 MiB
-/// private L2, 32 MiB system-level cache per socket.
-[[nodiscard]] CacheHierarchy altraCacheHierarchy(int coresPerSocket);
 
 }  // namespace nodebench::machines

@@ -1,12 +1,5 @@
 #include "report/campaign_spec.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 
 #include "campaign/journal.hpp"
@@ -113,8 +106,8 @@ std::vector<std::string> CampaignSpec::shardFiles(
 }
 
 std::vector<std::string> CampaignSpec::workerArgv(
-    std::uint32_t index, bool resumeWorker, const TestHooks& workerHooks,
-    bool heartbeatWorker) const {
+    std::uint32_t index, bool resumeWorker,
+    const TestHooks& workerHooks) const {
   const campaign::ShardSpec spec{index, shards};
   const std::string shardJournal = campaign::shardPath(journal, spec);
   std::vector<std::string> argv = {"nodebench", "table", selector,
@@ -128,10 +121,8 @@ std::vector<std::string> CampaignSpec::workerArgv(
       add(flag, std::to_string(value));
     }
   };
-  if (heartbeatWorker) {
-    add("--heartbeat", campaign::heartbeatPath(shardJournal));
-    addCount("--heartbeat-interval-ms", heartbeatIntervalMs);
-  }
+  add("--heartbeat", campaign::heartbeatPath(shardJournal));
+  addCount("--heartbeat-interval-ms", heartbeatIntervalMs);
   if (!store.empty()) {
     add("--store", campaign::shardPath(store, spec));
   }
@@ -150,31 +141,6 @@ std::vector<std::string> CampaignSpec::workerArgv(
     argv.emplace_back("--resume");
   }
   return argv;
-}
-
-pid_t spawnWorker(std::vector<std::string> argv) {
-  std::vector<char*> argvC;
-  argvC.reserve(argv.size() + 1);
-  for (std::string& arg : argv) {
-    argvC.push_back(arg.data());
-  }
-  argvC.push_back(nullptr);
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    throw Error(std::string("fork failed: ") + std::strerror(errno));
-  }
-  if (pid == 0) {
-    const int devnull = ::open("/dev/null", O_WRONLY);
-    if (devnull >= 0) {
-      ::dup2(devnull, STDOUT_FILENO);
-      ::close(devnull);
-    }
-    ::execv("/proc/self/exe", argvC.data());
-    std::fprintf(stderr, "nodebench: worker exec failed: %s\n",
-                 std::strerror(errno));
-    std::_Exit(127);
-  }
-  return pid;
 }
 
 OpenCampaign::OpenCampaign(const CampaignSpec& spec) {

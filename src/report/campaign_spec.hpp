@@ -13,8 +13,6 @@
 /// with, so `table`, `export`, `faults` and the supervisor's fingerprint
 /// all derive their configuration the same way.
 
-#include <sys/types.h>
-
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -87,19 +85,15 @@ struct CampaignSpec {
       const std::string& base) const;
 
   /// The argv of the `table` worker that measures shard `index` of
-  /// `shards` into BASE.shard<i>of<N>. The caller decides whether the
-  /// worker resumes its journal, which hooks this attempt gets, and
-  /// whether it heartbeats (next to its journal, every
-  /// heartbeatIntervalMs). The shard journal path is one argv element:
-  /// the supervisor's stale-worker guard matches it in /proc cmdlines.
+  /// `shards` into BASE.shard<i>of<N> and heartbeats next to its journal
+  /// every heartbeatIntervalMs. The caller decides whether the worker
+  /// resumes its journal and which hooks this attempt gets. The shard
+  /// journal path is one argv element: the launcher's stale-worker guard
+  /// matches it in /proc cmdlines.
   [[nodiscard]] std::vector<std::string> workerArgv(
-      std::uint32_t index, bool resumeWorker, const TestHooks& workerHooks,
-      bool heartbeatWorker) const;
+      std::uint32_t index, bool resumeWorker,
+      const TestHooks& workerHooks) const;
 };
-
-/// Starts a worker: forks, sends its stdout to /dev/null (the deliverable
-/// is its journal), keeps stderr, and execs this binary with `argv`.
-[[nodiscard]] pid_t spawnWorker(std::vector<std::string> argv);
 
 /// A campaign opened from its spec: the fault plan, shard plan, journal,
 /// results store and heartbeat that options() points at, owned for the

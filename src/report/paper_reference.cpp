@@ -135,9 +135,6 @@ const auto& findRow(const Rows& rows, std::string_view name,
 
 }  // namespace
 
-const Cpu4Ref& table4Row(std::string_view name) {
-  return findRow(table4(), name, "Table 4");
-}
 const Gpu5Ref& table5Row(std::string_view name) {
   return findRow(table5(), name, "Table 5");
 }

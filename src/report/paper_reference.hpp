@@ -51,7 +51,6 @@ struct Gpu6Ref {
 [[nodiscard]] const std::array<Gpu6Ref, 8>& table6();
 
 /// Looks up a row by machine name; throws NotFoundError when absent.
-[[nodiscard]] const Cpu4Ref& table4Row(std::string_view name);
 [[nodiscard]] const Gpu5Ref& table5Row(std::string_view name);
 [[nodiscard]] const Gpu6Ref& table6Row(std::string_view name);
 

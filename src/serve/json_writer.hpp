@@ -11,7 +11,8 @@
 ///    renderer must be deterministic down to the last digit.
 ///  - **Strict escaping.** Table text and error messages flow into
 ///    responses verbatim; the writer escapes every control character,
-///    quote and backslash so no payload can break the framing.
+///    quote and backslash (core/json_value.hpp's appendJsonString) so
+///    no payload can break the framing.
 ///
 /// This is a writer only — the daemon parses requests with the
 /// core/json_value.hpp reader (`nodebench::JsonValue`), keeping one
@@ -22,9 +23,6 @@
 #include <string_view>
 
 namespace nodebench::serve {
-
-/// Appends `s` as a quoted, escaped JSON string to `out`.
-void appendJsonString(std::string& out, std::string_view s);
 
 /// Renders a double with enough precision to round-trip bit-exactly
 /// ("%.17g"); non-finite values render as quoted strings ("inf", "nan")

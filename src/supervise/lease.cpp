@@ -146,15 +146,6 @@ bool LeaseScheduler::allResolved() const {
   return true;
 }
 
-bool LeaseScheduler::anyPoisoned() const {
-  for (const Lease& lease : leases_) {
-    if (lease.state == ShardState::Poisoned) {
-      return true;
-    }
-  }
-  return false;
-}
-
 std::size_t LeaseScheduler::leasedCount() const {
   std::size_t n = 0;
   for (const Lease& lease : leases_) {

@@ -82,7 +82,6 @@ class LeaseScheduler {
 
   /// True when every shard is Done or Poisoned.
   [[nodiscard]] bool allResolved() const;
-  [[nodiscard]] bool anyPoisoned() const;
   [[nodiscard]] std::size_t leasedCount() const;
 
   /// Poisoned shards as merge-ready gap records, sorted by index.

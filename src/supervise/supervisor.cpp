@@ -1,21 +1,33 @@
 #include "supervise/supervisor.hpp"
 
-#include <sys/types.h>
+#include <fcntl.h>
+#include <poll.h>
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
+
+// glibc 2.36's <sys/pidfd.h> lacks the extern "C" guards its other
+// headers carry; the headers it includes are already in above.
+extern "C" {
+#include <sys/pidfd.h>
+}
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
-#include <thread>
 #include <utility>
 
+#include "campaign/framed_log.hpp"
 #include "campaign/heartbeat.hpp"
+#include "campaign/journal.hpp"
 #include "core/deadline.hpp"
 #include "core/error.hpp"
 #include "report/reports.hpp"
@@ -51,17 +63,63 @@ class WallClock {
   std::chrono::steady_clock::time_point t0_;
 };
 
-/// One live worker process, keyed by pid in the event loop.
+/// A process's pidfd, closed with the handle: readable once the process
+/// has exited, child or not, and a signal sent through it reaches that
+/// process even after its pid is recycled.
+class Pidfd {
+ public:
+  explicit Pidfd(pid_t pid) : fd_(::pidfd_open(pid, 0)) {}
+  Pidfd(Pidfd&& other) noexcept : fd_(std::exchange(other.fd_, -1)) {}
+  ~Pidfd() {
+    if (fd_ >= 0) {
+      (void)::close(fd_);
+    }
+  }
+
+  [[nodiscard]] int get() const { return fd_; }
+
+ private:
+  int fd_;
+};
+
+/// One live worker process, keyed by shard in the event loop.
 struct RunningWorker {
-  std::uint32_t shard = 0;
   std::uint32_t attempt = 0;
   pid_t pid = -1;
+  Pidfd pidfd;                ///< what the loop waits on
   std::uint64_t lastSeq = 0;  ///< highest heartbeat sequence seen
   /// Set when the supervisor itself killed the worker (missed
   /// heartbeats, straggler timeout); becomes the incident text at reap
   /// time so the journal records *why*, not just "killed by signal 9".
   std::string pendingIncident;
 };
+
+/// Starts a worker: forks, sends its stdout to /dev/null (the deliverable
+/// is its journal), keeps stderr, and execs this binary with `argv`.
+pid_t spawnWorker(std::vector<std::string> argv) {
+  std::vector<char*> argvC;
+  argvC.reserve(argv.size() + 1);
+  for (std::string& arg : argv) {
+    argvC.push_back(arg.data());
+  }
+  argvC.push_back(nullptr);
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    throw Error(std::string("fork failed: ") + std::strerror(errno));
+  }
+  if (pid == 0) {
+    const int devnull = ::open("/dev/null", O_WRONLY);
+    if (devnull >= 0) {
+      ::dup2(devnull, STDOUT_FILENO);
+      ::close(devnull);
+    }
+    ::execv("/proc/self/exe", argvC.data());
+    std::fprintf(stderr, "nodebench: worker exec failed: %s\n",
+                 std::strerror(errno));
+    std::_Exit(127);
+  }
+  return pid;
+}
 
 /// True when /proc/<pid>/cmdline names `needle` as one of its
 /// NUL-separated arguments — the guard against pid reuse before the
@@ -90,33 +148,37 @@ bool cmdlineMentions(pid_t pid, const std::string& needle) {
   return false;
 }
 
-/// Kills a worker left over from a supervisor that died, then waits for
-/// it to disappear so its journal is quiescent before a replacement
-/// resumes it. Only kills a process whose cmdline names the shard
-/// journal — a recycled pid belonging to someone else is left alone.
+/// Kills a worker left over from a launcher that died, then waits for it
+/// to exit so its journal is quiescent before a replacement resumes it.
+/// Only kills a process whose cmdline names the shard journal — a
+/// recycled pid belonging to someone else is left alone — and signals
+/// through a pidfd opened before that check, so the signal reaches the
+/// process that was checked.
 void killStaleWorker(std::uint64_t pid64, const std::string& shardJournal) {
   if (pid64 == 0 || pid64 > static_cast<std::uint64_t>(
                                 std::numeric_limits<pid_t>::max())) {
     return;
   }
   const auto pid = static_cast<pid_t>(pid64);
-  if (!cmdlineMentions(pid, shardJournal)) {
-    return;
+  const Pidfd process(pid);
+  if (process.get() < 0 || !cmdlineMentions(pid, shardJournal)) {
+    return;  // already gone, or not a worker of this shard
   }
   std::cerr << "nodebench supervise: killing stale worker pid " << pid
             << " (" << shardJournal << ")\n";
-  (void)::kill(pid, SIGKILL);
-  // Not our child (the parent died), so waitpid cannot reap it; poll
-  // until the kernel has torn it down. Bounded: a kill that has not
-  // landed after 5s means something is deeply wrong with the host.
-  for (int i = 0; i < 500; ++i) {
-    if (::kill(pid, 0) != 0 && errno == ESRCH) {
-      return;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  (void)::pidfd_send_signal(process.get(), SIGKILL, nullptr, 0);
+  // Not our child (its launcher died), so waitpid cannot reap it, but
+  // its pidfd turns readable once it has exited. Bounded: a kill that
+  // has not landed after 5s means something is deeply wrong with the
+  // host.
+  pollfd exited{process.get(), POLLIN, 0};
+  int ready = 0;
+  while ((ready = ::poll(&exited, 1, 5000)) < 0 && errno == EINTR) {
   }
-  throw Error("stale worker pid " + std::to_string(pid) +
-              " did not die within 5s of SIGKILL");
+  if (ready <= 0) {
+    throw Error("stale worker pid " + std::to_string(pid) +
+                " did not die within 5s of SIGKILL");
+  }
 }
 
 }  // namespace
@@ -134,6 +196,25 @@ int runSupervise(const SuperviseOptions& options) {
     throw Error("--heartbeat-timeout-ms must exceed "
                 "--heartbeat-interval-ms, or every healthy worker "
                 "would be expired between beats");
+  }
+
+  // Per-shard file paths, fixed for the campaign's lifetime.
+  const std::vector<std::string> journalPaths = spec.shardFiles(spec.journal);
+  const std::vector<std::string> storePaths = spec.shardFiles(spec.store);
+  std::vector<std::string> hbPaths;
+  for (const std::string& path : journalPaths) {
+    hbPaths.push_back(campaign::heartbeatPath(path));
+  }
+  if (!spec.resume) {
+    // A fresh campaign writes over nothing: a shard file it would write
+    // belongs to an earlier campaign, which only --resume may continue,
+    // and a merged artifact is never silently replaced.
+    for (std::uint32_t i = 0; i < shards; ++i) {
+      campaign::refuseExistingLog(campaign::kJournalFormat.label,
+                                  journalPaths[i]);
+      campaign::refuseExistingLog("store", storePaths[i]);
+    }
+    options.merge.refuseExisting();
   }
 
   const std::uint32_t slots =
@@ -155,62 +236,50 @@ int runSupervise(const SuperviseOptions& options) {
   scfg.backoffBaseMs = options.backoff.baseMs;
   scfg.backoffCapMs = options.backoff.capMs;
 
-  const std::string supJournalPath =
-      options.supervisorJournalPath.empty()
-          ? spec.journal + ".supervisor"
-          : options.supervisorJournalPath;
-
+  const std::string& supJournalPath = options.supervisorJournalPath;
   std::unique_ptr<SupervisorJournal> journal;
-  if (spec.resume) {
-    journal = SupervisorJournal::resume(supJournalPath, scfg);
+  if (!supJournalPath.empty()) {
+    journal = spec.resume ? SupervisorJournal::resume(supJournalPath, scfg)
+                          : SupervisorJournal::create(supJournalPath, scfg);
     for (const std::string& warning : journal->warnings()) {
       std::cerr << "nodebench supervise: warning: " << warning << "\n";
     }
-  } else {
-    journal = SupervisorJournal::create(supJournalPath, scfg);
   }
+  const auto record = [&](const SupervisorEvent& event) {
+    if (journal) {
+      journal->append(event);
+    }
+  };
 
   WallClock clock;
   LeaseScheduler sched(shards, options.maxAttempts, options.backoff, cfg);
 
-  // Per-shard file paths, fixed for the campaign's lifetime.
-  const std::vector<std::string> journalPaths = spec.shardFiles(spec.journal);
-  const std::vector<std::string> storePaths = spec.shardFiles(spec.store);
-  std::vector<std::string> hbPaths;
-  for (const std::string& path : journalPaths) {
-    hbPaths.push_back(campaign::heartbeatPath(path));
-  }
-
   if (spec.resume) {
-    sched.replay(journal->events(), clock.nowMs());
-    std::cerr << "nodebench supervise: resuming campaign from "
-              << supJournalPath << " (" << journal->events().size()
-              << " event(s) replayed)\n";
-    // Shards whose last event is AttemptStarted were in flight when the
-    // previous supervisor died. Kill any worker still running (guarded
-    // against pid reuse), then release the lease: the attempt was never
-    // adjudicated, so it is un-burned and the shard re-runs from the
-    // worker's crash-safe journal.
+    if (journal) {
+      sched.replay(journal->events(), clock.nowMs());
+      std::cerr << "nodebench supervise: resuming campaign from "
+                << supJournalPath << " (" << journal->events().size()
+                << " event(s) replayed)\n";
+    }
+    // A worker of a launcher that died may still be measuring: kill it
+    // (guarded against pid reuse) before anything launches, or it keeps
+    // appending to the journal its replacement resumes. The heartbeat
+    // file names whoever beat last, the journalled pid of a leased shard
+    // a worker that had not beaten yet; that attempt was never
+    // adjudicated, so its lease is released un-burned.
     for (std::uint32_t i = 0; i < shards; ++i) {
-      if (sched.lease(i).state != ShardState::Leased) {
-        continue;
+      if (sched.lease(i).state == ShardState::Leased) {
+        killStaleWorker(sched.lease(i).pid, journalPaths[i]);
+        sched.release(i);
       }
-      killStaleWorker(sched.lease(i).pid, journalPaths[i]);
-      // The journalled pid can lag reality by one fork (the previous
-      // supervisor died between fork and append); the heartbeat file
-      // names whoever actually beat last.
       if (const auto beat = campaign::readHeartbeatFile(hbPaths[i])) {
-        if (beat->pid != sched.lease(i).pid) {
-          killStaleWorker(beat->pid, journalPaths[i]);
-        }
+        killStaleWorker(beat->pid, journalPaths[i]);
       }
-      sched.release(i);
     }
   }
 
   DeadlineMonitor monitor;
-  std::map<pid_t, RunningWorker> running;
-  std::map<std::uint32_t, pid_t> shardPid;  // shard -> running pid
+  std::map<std::uint32_t, RunningWorker> running;  // by shard
 
   const auto hbKey = [](std::uint32_t shard) {
     return "hb:" + std::to_string(shard);
@@ -222,16 +291,18 @@ int runSupervise(const SuperviseOptions& options) {
   const auto drain = [&] {
     std::cerr << "nodebench supervise: interrupted; draining "
               << running.size() << " worker(s)\n";
-    for (const auto& [pid, worker] : running) {
-      (void)::kill(pid, SIGTERM);
+    for (const auto& [shard, worker] : running) {
+      (void)::kill(worker.pid, SIGTERM);
     }
-    for (const auto& [pid, worker] : running) {
+    for (const auto& [shard, worker] : running) {
       int status = 0;
-      (void)::waitpid(pid, &status, 0);
+      (void)::waitpid(worker.pid, &status, 0);
     }
     // The in-flight leases stay journalled as bare AttemptStarted
     // events: --resume releases them without burning the attempt,
     // exactly the supervisor-crash semantics.
+    std::cerr << "nodebench supervise: campaign interrupted; rerun the "
+                 "same command with --resume to finish\n";
     return kInterruptedExitCode;
   };
 
@@ -248,8 +319,13 @@ int runSupervise(const SuperviseOptions& options) {
     // A retry (or a resumed campaign) picks up the dead worker's
     // crash-safe journal instead of re-measuring finished cells.
     const bool resume = std::filesystem::exists(journalPaths[shard]);
-    const pid_t pid = report::spawnWorker(
-        spec.workerArgv(shard, resume, hooks, /*heartbeatWorker=*/true));
+    const pid_t pid = spawnWorker(spec.workerArgv(shard, resume, hooks));
+    Pidfd pidfd(pid);
+    if (pidfd.get() < 0) {
+      const std::string why = std::strerror(errno);
+      (void)::kill(pid, SIGKILL);
+      throw Error("pidfd_open failed: " + why);
+    }
 
     sched.bind(shard, static_cast<std::uint64_t>(pid));
     SupervisorEvent event;
@@ -257,14 +333,12 @@ int runSupervise(const SuperviseOptions& options) {
     event.shard = shard;
     event.attempt = attempt;
     event.pid = static_cast<std::uint64_t>(pid);
-    journal->append(event);
-
-    RunningWorker worker;
-    worker.shard = shard;
-    worker.attempt = attempt;
-    worker.pid = pid;
-    running[pid] = worker;
-    shardPid[shard] = pid;
+    record(event);
+    running.emplace(shard, RunningWorker{.attempt = attempt,
+                                         .pid = pid,
+                                         .pidfd = std::move(pidfd),
+                                         .lastSeq = 0,
+                                         .pendingIncident = {}});
 
     const std::int64_t now = clock.nowMs();
     monitor.arm(hbKey(shard), clock.at(now + options.heartbeatTimeoutMs));
@@ -277,6 +351,70 @@ int runSupervise(const SuperviseOptions& options) {
               << journalPaths[shard] << "\n";
   };
 
+  // Adjudicates the attempt of a worker whose pidfd turned readable;
+  // returns the next running worker.
+  const auto reap = [&](decltype(running)::iterator it) {
+    const std::uint32_t shard = it->first;
+    const RunningWorker worker = std::move(it->second);
+    const auto after = running.erase(it);
+    int status = 0;
+    if (::waitpid(worker.pid, &status, 0) != worker.pid) {
+      throw Error(std::string("waitpid failed: ") + std::strerror(errno));
+    }
+    monitor.disarm(hbKey(shard));
+    monitor.disarm(toKey(shard));
+
+    if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
+      sched.complete(shard);
+      SupervisorEvent event;
+      event.kind = EventKind::ShardDone;
+      event.shard = shard;
+      event.attempt = worker.attempt;
+      record(event);
+      std::cerr << "nodebench supervise: shard " << shard
+                << " done (attempt " << worker.attempt << ")\n";
+      return after;
+    }
+
+    std::string incident;
+    if (!worker.pendingIncident.empty()) {
+      incident = worker.pendingIncident;
+    } else if (WIFEXITED(status)) {
+      const int code = WEXITSTATUS(status);
+      incident = code == kInterruptedExitCode
+                     ? "worker was interrupted (exit code 43)"
+                     : "worker exited with code " + std::to_string(code);
+    } else if (WIFSIGNALED(status)) {
+      incident =
+          "worker was killed by signal " + std::to_string(WTERMSIG(status));
+    } else {
+      incident = "worker ended with unrecognized wait status " +
+                 std::to_string(status);
+    }
+
+    SupervisorEvent failed;
+    failed.kind = EventKind::AttemptFailed;
+    failed.shard = shard;
+    failed.attempt = worker.attempt;
+    failed.detail = incident;
+    record(failed);
+    const ShardState next = sched.fail(shard, incident, clock.nowMs());
+    std::cerr << "nodebench supervise: shard " << shard << " attempt "
+              << worker.attempt << " failed: " << incident << "\n";
+    if (next == ShardState::Poisoned) {
+      SupervisorEvent poisoned;
+      poisoned.kind = EventKind::ShardPoisoned;
+      poisoned.shard = shard;
+      poisoned.attempt = worker.attempt;
+      poisoned.detail = incident;
+      record(poisoned);
+      std::cerr << "nodebench supervise: shard " << shard << " POISONED after "
+                << worker.attempt << " failed attempt(s); quarantining\n";
+    }
+    return after;
+  };
+
+  std::vector<pollfd> waitSet;
   while (!sched.allResolved()) {
     if (options.stopFlag != nullptr && options.stopFlag->requested()) {
       return drain();
@@ -291,104 +429,31 @@ int runSupervise(const SuperviseOptions& options) {
       launch(*shard);
     }
 
-    // Reap finished workers and adjudicate their attempts.
-    for (;;) {
-      int status = 0;
-      const pid_t pid = ::waitpid(-1, &status, WNOHANG);
-      if (pid <= 0) {
-        break;
-      }
-      const auto it = running.find(pid);
-      if (it == running.end()) {
-        continue;  // not a worker we launched (cannot happen in practice)
-      }
-      const RunningWorker worker = it->second;
-      running.erase(it);
-      shardPid.erase(worker.shard);
-      monitor.disarm(hbKey(worker.shard));
-      monitor.disarm(toKey(worker.shard));
-
-      if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-        sched.complete(worker.shard);
-        SupervisorEvent event;
-        event.kind = EventKind::ShardDone;
-        event.shard = worker.shard;
-        event.attempt = worker.attempt;
-        journal->append(event);
-        std::cerr << "nodebench supervise: shard " << worker.shard
-                  << " done (attempt " << worker.attempt << ")\n";
-        continue;
-      }
-
-      std::string incident;
-      if (!worker.pendingIncident.empty()) {
-        incident = worker.pendingIncident;
-      } else if (WIFEXITED(status)) {
-        const int code = WEXITSTATUS(status);
-        incident = code == kInterruptedExitCode
-                       ? "worker was interrupted (exit code 43)"
-                       : "worker exited with code " + std::to_string(code);
-      } else if (WIFSIGNALED(status)) {
-        incident =
-            "worker was killed by signal " + std::to_string(WTERMSIG(status));
-      } else {
-        incident = "worker ended with unrecognized wait status " +
-                   std::to_string(status);
-      }
-
-      SupervisorEvent failed;
-      failed.kind = EventKind::AttemptFailed;
-      failed.shard = worker.shard;
-      failed.attempt = worker.attempt;
-      failed.detail = incident;
-      journal->append(failed);
-      const ShardState next =
-          sched.fail(worker.shard, incident, clock.nowMs());
-      std::cerr << "nodebench supervise: shard " << worker.shard
-                << " attempt " << worker.attempt << " failed: " << incident
-                << "\n";
-      if (next == ShardState::Poisoned) {
-        SupervisorEvent poisoned;
-        poisoned.kind = EventKind::ShardPoisoned;
-        poisoned.shard = worker.shard;
-        poisoned.attempt = worker.attempt;
-        poisoned.detail = incident;
-        journal->append(poisoned);
-        std::cerr << "nodebench supervise: shard " << worker.shard
-                  << " POISONED after " << worker.attempt
-                  << " failed attempt(s); quarantining\n";
-      }
-    }
-
     // Heartbeat liveness: a beat with a fresh sequence number re-arms
     // the shard's expiry deadline. Beats from a previous attempt's pid
     // are ignored (a stale file is silence, not liveness).
-    for (auto& [pid, worker] : running) {
-      const auto beat = campaign::readHeartbeatFile(hbPaths[worker.shard]);
+    for (auto& [shard, worker] : running) {
+      const auto beat = campaign::readHeartbeatFile(hbPaths[shard]);
       if (beat && beat->pid == static_cast<std::uint64_t>(worker.pid) &&
           beat->seq > worker.lastSeq) {
         worker.lastSeq = beat->seq;
-        monitor.arm(hbKey(worker.shard),
+        monitor.arm(hbKey(shard),
                     clock.at(clock.nowMs() + options.heartbeatTimeoutMs));
       }
     }
 
     // Expire wedged workers and stragglers: SIGKILL now, record why;
-    // the wait-status classification above turns the pending incident
-    // into the journalled failure when the corpse is reaped.
+    // reap() turns the pending incident into the journalled failure
+    // once the corpse's pidfd turns readable.
     for (const std::string& id : monitor.expired(clock.now())) {
       const bool isHeartbeat = id.rfind("hb:", 0) == 0;
       const auto shard =
           static_cast<std::uint32_t>(std::stoul(id.substr(3)));
-      const auto pidIt = shardPid.find(shard);
-      if (pidIt == shardPid.end()) {
+      const auto it = running.find(shard);
+      if (it == running.end()) {
         continue;  // already reaped between arm and expiry
       }
-      const auto workerIt = running.find(pidIt->second);
-      if (workerIt == running.end()) {
-        continue;
-      }
-      RunningWorker& worker = workerIt->second;
+      RunningWorker& worker = it->second;
       if (worker.pendingIncident.empty()) {
         worker.pendingIncident =
             isHeartbeat
@@ -408,7 +473,37 @@ int runSupervise(const SuperviseOptions& options) {
       monitor.disarm(toKey(shard));
     }
 
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    // Sleep until a worker exits, a signal interrupts the wait (the stop
+    // token is checked first thing), or the earliest deadline falls due:
+    // an expiry, a backoff window with a slot free for it, or the next
+    // heartbeat read, which also bounds how long a signal that landed
+    // just before poll() goes unseen.
+    std::int64_t waitMs = spec.heartbeatIntervalMs;
+    if (const auto next = monitor.nextDeadline()) {
+      waitMs = std::min<std::int64_t>(
+          waitMs,
+          std::chrono::ceil<std::chrono::milliseconds>(*next - clock.now())
+              .count());
+    }
+    if (sched.leasedCount() < slots) {
+      if (const auto ready = sched.nextPendingReadyMs()) {
+        waitMs = std::min(waitMs, *ready - clock.nowMs());
+      }
+    }
+    waitSet.clear();
+    for (const auto& [shard, worker] : running) {
+      waitSet.push_back(pollfd{worker.pidfd.get(), POLLIN, 0});
+    }
+    if (::poll(waitSet.data(), static_cast<nfds_t>(waitSet.size()),
+               static_cast<int>(std::max<std::int64_t>(waitMs, 0))) < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      throw Error(std::string("poll failed: ") + std::strerror(errno));
+    }
+    for (auto it = running.begin(); const pollfd& entry : waitSet) {
+      it = (entry.revents & POLLIN) != 0 ? reap(it) : std::next(it);
+    }
   }
 
   campaign::MergeOptions mopt;

@@ -4,32 +4,12 @@
 #include <map>
 #include <utility>
 
+#include "core/json_value.hpp"
 #include "core/table.hpp"
 
 namespace nodebench::trace {
 
 namespace {
-
-/// Minimal JSON string escape — scope labels and counter names only ever
-/// carry printable ASCII, but quotes/backslashes must never corrupt the
-/// document.
-std::string jsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 /// Microseconds with fixed sub-ns resolution — the same %.3f convention
 /// the mpisim timeline tracer uses, so outputs are byte-stable.
@@ -52,7 +32,9 @@ void ChromeJsonSink::scope(const TraceBuffer& buffer) {
   const auto metaEvent = [&](const std::string& name, const std::string& tid,
                              const std::string& value) {
     out_ += "{\"name\":\"" + name + "\",\"ph\":\"M\",\"pid\":" + pidStr +
-            tid + ",\"args\":{\"name\":\"" + jsonEscape(value) + "\"}},\n";
+            tid + ",\"args\":{\"name\":";
+    appendJsonString(out_, value);
+    out_ += "}},\n";
   };
   metaEvent("process_name", "", buffer.label());
 

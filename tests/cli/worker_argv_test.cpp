@@ -68,7 +68,7 @@ TEST(WorkerArgv, ReparsesToTheWorkerSpecForEveryFieldAndHook) {
   expected.heartbeat = "base.nbj.shard2of4.hb";
   expected.heartbeatIntervalMs = 150;
   expected.hooks = hooks;
-  EXPECT_EQ(reparse(campaign.workerArgv(2, true, hooks, true)), expected);
+  EXPECT_EQ(reparse(campaign.workerArgv(2, true, hooks)), expected);
 }
 
 TEST(WorkerArgv, AnUnsetFieldStaysUnset) {
@@ -78,12 +78,13 @@ TEST(WorkerArgv, AnUnsetFieldStaysUnset) {
   campaign.shards = 2;
   campaign.resume = true;  // the caller decides each worker's --resume
 
+  // Every worker heartbeats next to its journal, at the default interval.
   CampaignSpec expected;
   expected.selector = "4";
   expected.journal = "j.shard0of2";
   expected.shard = campaign::ShardSpec{0, 2};
-  EXPECT_EQ(reparse(campaign.workerArgv(0, false, TestHooks{}, false)),
-            expected);
+  expected.heartbeat = "j.shard0of2.hb";
+  EXPECT_EQ(reparse(campaign.workerArgv(0, false, TestHooks{})), expected);
 }
 
 TEST(WorkerArgv, TheShardJournalIsOneArgument) {
@@ -92,7 +93,7 @@ TEST(WorkerArgv, TheShardJournalIsOneArgument) {
   campaign.journal = "dir with space/j";
   campaign.shards = 3;
   const std::vector<std::string> argv =
-      campaign.workerArgv(1, false, TestHooks{}, true);
+      campaign.workerArgv(1, false, TestHooks{});
   EXPECT_NE(std::find(argv.begin(), argv.end(),
                       "dir with space/j.shard1of3"),
             argv.end());

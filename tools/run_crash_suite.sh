@@ -12,7 +12,8 @@
 #                  sigterm  graceful interrupt (exit 43), then resume
 #                  serve    SIGTERM right after start (x50), then
 #                           daemon SIGKILL + --resume recovery
-#                  shard    sharded worker SIGKILL, resume, merge
+#                  shard    sharded worker SIGKILL, resume, merge;
+#                           shard driver SIGKILL and SIGTERM, resume
 #                  memlab   sweep/chase SIGKILL mid-grid, then resume
 #                Default (no flag): every section. The baseline run is
 #                shared by crash/sigkill/sigterm and executes whenever
@@ -419,6 +420,68 @@ if want shard; then
     exit 1
   fi
   echo "   killed worker resumed; merged journal and store byte-identical"
+
+  echo
+  echo "== shard driver: SIGKILL it, then --resume kills its orphans =="
+  # A SIGKILLed driver leaves its workers running. The --resume must kill
+  # them before it launches replacements: an orphan that keeps appending
+  # to the journal its replacement resumed records cells twice, and the
+  # shard set no longer merges.
+  drv="${workdir}/drv.journal"
+  "${nodebench}" shard "${table}" --shards 2 --runs "${runs}" --jobs 1 \
+    --journal "${drv}" --test-cell-delay-ms 150 \
+    > /dev/null 2>> "${workdir}/stderr_shard.log" &
+  driver=$!
+  sleep 0.5
+  kill -9 "${driver}" 2>/dev/null || true
+  wait "${driver}" 2>/dev/null || true
+  "${nodebench}" shard "${table}" --shards 2 --runs "${runs}" --jobs 1 \
+    --journal "${drv}" --resume --merge-out "${workdir}/drv.merged" \
+    > /dev/null 2>> "${workdir}/stderr_shard.log"
+  # Whatever still runs for these journals is an orphan the resume missed:
+  # let it finish, so the merge below reads everything it appended.
+  for _ in $(seq 1 200); do
+    pgrep -f "${drv}.shard" > /dev/null || break
+    sleep 0.05
+  done
+  "${nodebench}" merge "${drv}.shard0of2" "${drv}.shard1of2" \
+    --out "${workdir}/drv.remerged" >> "${workdir}/stderr_shard.log" 2>&1 || {
+    echo "error: the resumed shard journals no longer merge" >&2
+    tail -3 "${workdir}/stderr_shard.log" >&2
+    exit 1
+  }
+  if ! cmp -s "${workdir}/drv.remerged" "${shard_ref_journal}"; then
+    echo "error: the resumed shard journals differ from the --jobs 1 run" >&2
+    exit 1
+  fi
+  echo "   orphans killed; a later standalone merge is byte-identical"
+
+  echo
+  echo "== shard driver: SIGTERM drains its workers (exit 43), then resume =="
+  drv="${workdir}/drv_term.journal"
+  "${nodebench}" shard "${table}" --shards 2 --runs "${runs}" --jobs 1 \
+    --journal "${drv}" --test-cell-delay-ms 150 \
+    > /dev/null 2>> "${workdir}/stderr_shard.log" &
+  driver=$!
+  sleep 0.5
+  kill -TERM "${driver}" 2>/dev/null || true
+  rc=0
+  wait "${driver}" || rc=$?
+  if (( rc != 43 )); then
+    echo "error: SIGTERM to the shard driver produced exit ${rc}" \
+         "(wanted the interrupt code 43)" >&2
+    tail -5 "${workdir}/stderr_shard.log" >&2
+    exit 1
+  fi
+  "${nodebench}" shard "${table}" --shards 2 --runs "${runs}" --jobs 1 \
+    --journal "${drv}" --resume --merge-out "${workdir}/drv_term.merged" \
+    > /dev/null 2>> "${workdir}/stderr_shard.log"
+  if ! cmp -s "${workdir}/drv_term.merged" "${shard_ref_journal}"; then
+    echo "error: the drained and resumed campaign differs from the" \
+         "--jobs 1 run" >&2
+    exit 1
+  fi
+  echo "   interrupted driver exited 43 and resumed byte-identically"
 fi
 
 if want memlab; then

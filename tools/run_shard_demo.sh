@@ -17,6 +17,10 @@
 #     must produce the same bytes again.
 #  4. Refusal paths: an incomplete shard set and an existing output file
 #     are both rejected loudly, naming the problem.
+#  5. A failed worker: `shard` gives each shard one attempt, so a shard
+#     whose journal is garbage becomes a gap — exit 44, a partial merge
+#     of the other shards and a gap manifest naming it — and a --resume
+#     over a good journal finishes the campaign byte-identically.
 set -euo pipefail
 
 build_dir="${1:-build}"
@@ -96,6 +100,59 @@ if (( rc == 0 )); then
   exit 1
 fi
 echo "   incomplete set and existing output both refused"
+
+echo
+echo "== a failed worker: its slice becomes a gap, --resume finishes it =="
+if (( shards < 2 )); then
+  echo "   skipped: a gap needs another shard to merge"
+else
+  for (( i = 0; i < shards; i++ )); do
+    cp "${workdir}/c.journal.shard${i}of${shards}" \
+       "${workdir}/g.journal.shard${i}of${shards}"
+    cp "${workdir}/c.store.shard${i}of${shards}" \
+       "${workdir}/g.store.shard${i}of${shards}"
+  done
+  bad=$(( shards - 1 ))
+  bad_journal="${workdir}/g.journal.shard${bad}of${shards}"
+  echo "not a journal" > "${bad_journal}"
+  resume_g() {
+    "${nodebench}" shard "${table}" --shards "${shards}" --runs "${runs}" \
+      --jobs 2 --resume \
+      --journal "${workdir}/g.journal" --store "${workdir}/g.store" \
+      --merge-out "${workdir}/g.merged.journal" \
+      --merge-store-out "${workdir}/g.merged.store" \
+      > /dev/null 2>> "${workdir}/gap.log"
+  }
+  rc=0
+  resume_g || rc=$?
+  if (( rc != 44 )); then
+    echo "error: a failed worker made shard exit ${rc} (wanted 44)" >&2
+    tail -5 "${workdir}/gap.log" >&2
+    exit 1
+  fi
+  gaps="${workdir}/g.merged.journal.gaps.json"
+  if ! grep -qF "{\"shard\": ${bad}, \"attempts\": 1" "${gaps}"; then
+    echo "error: the gap manifest does not name shard ${bad}" >&2
+    cat "${gaps}" >&2
+    exit 1
+  fi
+  # The partial merge is the other shards' cells: a standalone partial
+  # merge of their journals writes the same bytes.
+  rc=0
+  "${nodebench}" merge "${journals[@]:0:${bad}}" --allow-partial \
+    --out "${workdir}/partial.journal" > /dev/null 2>&1 || rc=$?
+  if (( rc != 44 )) ||
+     ! cmp -s "${workdir}/g.merged.journal" "${workdir}/partial.journal"; then
+    echo "error: the partial merge is not the other shards' cells" >&2
+    exit 1
+  fi
+  echo "   exit 44; gap manifest names shard ${bad}; the other shards merged"
+  cp "${journals[${bad}]}" "${bad_journal}"
+  resume_g
+  cmp "${workdir}/g.merged.journal" "${workdir}/ref.journal"
+  cmp "${workdir}/g.merged.store" "${workdir}/ref.store"
+  echo "   --resume over the restored journal exits 0, bytes identical"
+fi
 
 echo
 echo "shard demo passed"
