@@ -870,13 +870,15 @@ int run(int argc, char** argv) {
       if (command.name == name) {
         const Parsed parsed = flags::parse(command, args);
         // On the commands that take `--trace FILE` / `--metrics`, one
-        // session records the whole body and is exported once it returned.
+        // session records the whole body and is exported once it returned;
+        // only the Chrome JSON of `--trace` needs its event lists.
         // Without either flag there is no session, so untraced runs stay
         // byte-identical to the pre-trace harness.
         const std::string tracePath = parsed.text("--trace");
         std::optional<trace::Session> session;
         if (!tracePath.empty() || parsed.has("--metrics")) {
-          session.emplace();
+          session.emplace(tracePath.empty() ? trace::Keep::Totals
+                                            : trace::Keep::Events);
         }
         const int code = command.run(parsed);
         if (!tracePath.empty()) {

@@ -1,8 +1,11 @@
 #include "stats/merge.hpp"
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <iostream>
 #include <map>
 #include <set>
@@ -216,13 +219,19 @@ int writeMerge(const std::vector<std::string>& journals,
     std::cout << "merged " << storeInputs.size() << " shard store(s) -> "
               << out.store << "\n";
   }
+  const std::string gapPath =
+      out.gaps.empty() ? out.journal + ".gaps.json" : out.gaps;
   if (!merged.partial) {
+    // A gap manifest an earlier partial merge left here names shards
+    // this merge no longer misses.
+    if (::unlink(gapPath.c_str()) != 0 && errno != ENOENT) {
+      throw Error("cannot remove stale gap manifest " + gapPath + ": " +
+                  std::strerror(errno));
+    }
     return 0;
   }
   // Partial: a smaller table is never silent. The gap manifest names
   // every missing shard and cell, and the exit code is distinct.
-  const std::string gapPath =
-      out.gaps.empty() ? out.journal + ".gaps.json" : out.gaps;
   const std::string manifest = campaign::renderGapManifest(merged);
   campaign::io::atomicWrite(
       gapPath,

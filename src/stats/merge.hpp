@@ -63,8 +63,9 @@ struct MergeOutputs {
 /// The merge writer of `merge`, `shard --merge-out` and `supervise
 /// --merge-out`: reads the shard journals (and, with `out.store`, the
 /// shard stores), merges them, and atomically writes the merged journal,
-/// the merged store and, for a partial merge, the gap manifest. Returns
-/// 0, or kPartialCampaignExitCode when the merge is partial.
+/// the merged store and, for a partial merge, the gap manifest; a
+/// complete merge removes a gap manifest left at that path. Returns 0, or
+/// kPartialCampaignExitCode when the merge is partial.
 int writeMerge(const std::vector<std::string>& journals,
                const std::vector<std::string>& stores,
                const MergeOutputs& out,

@@ -83,16 +83,13 @@ void MetricsSink::scope(const TraceBuffer& buffer) {
           : buffer.label() + " #" + std::to_string(buffer.occurrence() + 1);
 
   // Per-category totals, in Category declaration order.
-  std::map<Category, std::pair<std::uint64_t, Duration>> byCategory;
-  for (const Event& e : buffer.events()) {
-    auto& [n, busy] = byCategory[e.category];
-    ++n;
-    busy = busy + e.duration;
-  }
-  for (const auto& [category, total] : byCategory) {
-    eventRows_.push_back({scopeName, std::string(categoryName(category)),
-                          std::to_string(total.first),
-                          formatFixed(total.second.us(), 3)});
+  for (std::size_t c = 0; c < kCategoryCount; ++c) {
+    const CategoryTotal& total = buffer.totals()[c];
+    if (total.events != 0) {
+      eventRows_.push_back(
+          {scopeName, std::string(categoryName(static_cast<Category>(c))),
+           std::to_string(total.events), formatFixed(total.busy.us(), 3)});
+    }
   }
   for (const auto& [name, value] : buffer.counters()) {
     counterRows_.push_back({scopeName, name, std::to_string(value)});

@@ -96,7 +96,7 @@ void TraceBuffer::sample(std::string_view histogram, double value) {
   it->second.add(value);
 }
 
-Session::Session() {
+Session::Session(Keep keep) : keep_(keep) {
   Session* expected = nullptr;
   NB_EXPECTS_MSG(gActive.compare_exchange_strong(expected, this),
                  "a trace::Session is already active");
@@ -126,7 +126,7 @@ std::vector<const TraceBuffer*> Session::ordered() const {
 std::unique_ptr<TraceBuffer> Session::open(std::string label) {
   std::unique_lock lock(mu_);
   const int occurrence = occurrences_[label]++;
-  return std::make_unique<TraceBuffer>(std::move(label), occurrence);
+  return std::make_unique<TraceBuffer>(std::move(label), occurrence, keep_);
 }
 
 void Session::close(std::unique_ptr<TraceBuffer> buffer) {

@@ -14,7 +14,10 @@
 ///    load and every instrumentation site is one null-pointer check on a
 ///    captured member — verified a no-op by the simcore gbench;
 ///  - `Session` active: each `Scope` owns a private buffer, so recording
-///    never contends across parallel harness cells.
+///    never contends across parallel harness cells. Every event adds to
+///    its category's total; a `Keep::Events` session (the default, which
+///    the Chrome JSON sink needs) also appends it to the buffer's event
+///    list, a `Keep::Totals` session (all the metrics sink reads) does not.
 ///
 /// Determinism contract: buffers are exported sorted by (label,
 /// occurrence). Scope labels are unique within one parallel fan-out (the
@@ -45,6 +48,7 @@ namespace nodebench::trace {
 /// What a recorded interval measures. The first group are rank-side MPI
 /// phases, then transport-level loss recovery, GPU runtime operations,
 /// channel/NIC busy intervals and memory-system classification.
+/// `JournalReplay` stays last: `kCategoryCount` counts up to it.
 enum class Category : std::uint8_t {
   Send,           ///< Blocking send / isend post, rank-side.
   Recv,           ///< Blocking recv / irecv completion, rank-side.
@@ -61,6 +65,10 @@ enum class Category : std::uint8_t {
   JournalReplay,  ///< Campaign journal: one record replayed on resume.
 };
 
+/// Number of `Category` values, which index `TraceBuffer::totals()`.
+inline constexpr std::size_t kCategoryCount =
+    static_cast<std::size_t>(Category::JournalReplay) + 1;
+
 /// Stable lowercase name used in exports ("send", "link busy", ...).
 [[nodiscard]] std::string_view categoryName(Category c);
 
@@ -75,8 +83,8 @@ enum class ActorKind : std::uint8_t {
 
 [[nodiscard]] std::string_view actorKindName(ActorKind k);
 
-/// One recorded interval on the virtual timeline. 48 bytes; buffers of
-/// these are the raw trace.
+/// One recorded interval on the virtual timeline. 48 bytes; the event
+/// lists of a `Keep::Events` session are the raw trace.
 struct Event {
   Category category = Category::Send;
   ActorKind actorKind = ActorKind::Rank;
@@ -117,26 +125,57 @@ class Histogram {
   double sum_ = 0.0;
 };
 
-/// Per-scope recording target: an event list plus named counters and
-/// histograms. Owned by exactly one `Scope`; never shared between scopes,
-/// so recording needs no locks. Virtual-time rank threads may append
-/// through a captured pointer — the scheduler's exactly-one-running
-/// discipline sequences those writes.
+/// What a session's buffers keep of each event.
+enum class Keep : std::uint8_t {
+  Events,  ///< The event list and the per-category totals.
+  Totals,  ///< The per-category totals only.
+};
+
+/// Events of one category in one buffer, and their summed durations.
+struct CategoryTotal {
+  std::uint64_t events = 0;
+  Duration busy;
+};
+
+/// Per-scope recording target: per-category event totals, the event list
+/// under `Keep::Events`, and named counters and histograms. Owned by
+/// exactly one `Scope`; never shared between scopes, so recording needs
+/// no locks. Virtual-time rank threads may append through a captured
+/// pointer — the scheduler's exactly-one-running discipline sequences
+/// those writes.
 class TraceBuffer {
  public:
-  TraceBuffer(std::string label, int occurrence)
-      : label_(std::move(label)), occurrence_(occurrence) {}
+  TraceBuffer(std::string label, int occurrence, Keep keep)
+      : label_(std::move(label)), occurrence_(occurrence), keep_(keep) {}
 
   [[nodiscard]] const std::string& label() const { return label_; }
   /// How many earlier scopes in the session share this label (sequential
   /// repeats, e.g. `table all` computing Table 5 twice).
   [[nodiscard]] int occurrence() const { return occurrence_; }
 
-  void event(const Event& e) { events_.push_back(e); }
+  void event(const Event& e) {
+    CategoryTotal& total = totals_[static_cast<std::size_t>(e.category)];
+    ++total.events;
+    total.busy = total.busy + e.duration;
+    if (keep_ == Keep::Events) {
+      events_.push_back(e);
+    }
+  }
   void count(std::string_view counter, std::uint64_t delta = 1);
   void sample(std::string_view histogram, double value);
 
-  [[nodiscard]] const std::vector<Event>& events() const { return events_; }
+  /// Every event in recording order. Precondition: the buffer keeps
+  /// events, so a totals session cannot pass for an empty trace.
+  [[nodiscard]] const std::vector<Event>& events() const {
+    NB_EXPECTS(keep_ == Keep::Events);
+    return events_;
+  }
+  /// Per-category totals, indexed by `Category`; each busy sum adds its
+  /// durations in recording order.
+  [[nodiscard]] const std::array<CategoryTotal, kCategoryCount>& totals()
+      const {
+    return totals_;
+  }
   [[nodiscard]] const std::map<std::string, std::uint64_t, std::less<>>&
   counters() const {
     return counters_;
@@ -149,18 +188,21 @@ class TraceBuffer {
  private:
   std::string label_;
   int occurrence_ = 0;
+  Keep keep_;
+  std::array<CategoryTotal, kCategoryCount> totals_{};
   std::vector<Event> events_;
   std::map<std::string, std::uint64_t, std::less<>> counters_;
   std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
 /// Enables tracing for its lifetime and collects the buffers every
-/// `Scope` closes. At most one session is active at a time (process-wide,
-/// enforced); the CLI creates one only when `--trace`/`--metrics` is
-/// requested, so default runs never pay for instrumentation.
+/// `Scope` closes, each keeping what `keep` says. At most one session is
+/// active at a time (process-wide, enforced); the CLI creates one only
+/// when `--trace`/`--metrics` is requested, so default runs never pay for
+/// instrumentation, and keeps only totals for `--metrics` alone.
 class Session {
  public:
-  Session();
+  explicit Session(Keep keep = Keep::Events);
   ~Session();
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -178,6 +220,7 @@ class Session {
   [[nodiscard]] std::unique_ptr<TraceBuffer> open(std::string label);
   void close(std::unique_ptr<TraceBuffer> buffer);
 
+  Keep keep_;
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<TraceBuffer>> buffers_;
   std::map<std::string, int, std::less<>> occurrences_;

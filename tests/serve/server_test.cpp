@@ -362,9 +362,20 @@ TEST_F(ServeServerTest, DrainThenResumeProducesByteIdenticalResult) {
     Server server(std::move(opt));
     server.start();
     EXPECT_EQ(post(scratch("e.sock"), spec).status, 202);
-    // Let it start measuring, then drain mid-request: the spec must stay
-    // on disk without a result.
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    // Wait until it is measuring (its journal is created right after it
+    // turns running), then drain mid-request: each cell takes 150 ms, so
+    // cells are left, and the spec must stay on disk without a result.
+    const auto started = [&] {
+      return fs::exists(stateDir + "/req-000001.journal") ||
+             get(scratch("e.sock"), "/requests/req-000001")
+                     .body.find("\"state\":\"running\"") != std::string::npos;
+    };
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!started() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_TRUE(started()) << "the request did not start within 10 s";
     server.requestDrain();
     server.waitUntilStopped();
   }

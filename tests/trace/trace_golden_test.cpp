@@ -12,7 +12,9 @@
 /// JSON, which runs to megabytes, by byte count and CRC32. A failure here
 /// means traced runs no longer record what earlier builds recorded; an
 /// intended change of the trace content regenerates the golden values in
-/// the same change and says why.
+/// the same change and says why. Each metrics file is also what a session
+/// keeping only per-category totals (`--metrics` without `--trace`) must
+/// render for the same run.
 
 #include <gtest/gtest.h>
 
@@ -36,18 +38,21 @@
 namespace nodebench {
 namespace {
 
+using TableFn = std::function<void(const report::TableOptions&)>;
+
 struct Export {
-  std::string json;
+  std::string json;  ///< Empty from a totals session, which has no events.
   std::string metrics;
 };
 
-Export traced(const std::function<void(const report::TableOptions&)>& table) {
-  trace::Session session;
+Export traced(const TableFn& table, trace::Keep keep) {
+  trace::Session session(keep);
   report::TableOptions opt;
   opt.binaryRuns = 5;
   opt.jobs = 1;
   table(opt);
-  return Export{trace::chromeJson(session), trace::metricsSummary(session)};
+  return Export{keep == trace::Keep::Events ? trace::chromeJson(session) : "",
+                trace::metricsSummary(session)};
 }
 
 std::string readGolden(const std::string& name) {
@@ -64,29 +69,33 @@ std::uint32_t crcOf(const std::string& text) {
                          text.size()));
 }
 
-void expectGolden(const Export& e, const std::string& metricsFile,
+void expectGolden(const TableFn& table, const std::string& metricsFile,
                   std::size_t jsonBytes, std::uint32_t jsonCrc) {
+  const Export e = traced(table, trace::Keep::Events);
   EXPECT_EQ(e.metrics, readGolden(metricsFile));
   EXPECT_EQ(e.json.size(), jsonBytes);
   EXPECT_EQ(crcOf(e.json), jsonCrc);
+  EXPECT_EQ(traced(table, trace::Keep::Totals).metrics,
+            readGolden(metricsFile))
+      << "from a session keeping only per-category totals";
 }
 
 TEST(TraceGolden, Table4MatchesGoldenBytes) {
-  const Export e = traced(
-      [](const report::TableOptions& o) { (void)report::computeTable4(o); });
-  expectGolden(e, "table4_metrics.txt", 6741416u, 0xd1496affu);
+  expectGolden(
+      [](const report::TableOptions& o) { (void)report::computeTable4(o); },
+      "table4_metrics.txt", 6741416u, 0xd1496affu);
 }
 
 TEST(TraceGolden, Table5MatchesGoldenBytes) {
-  const Export e = traced(
-      [](const report::TableOptions& o) { (void)report::computeTable5(o); });
-  expectGolden(e, "table5_metrics.txt", 18682015u, 0x3f33a7efu);
+  expectGolden(
+      [](const report::TableOptions& o) { (void)report::computeTable5(o); },
+      "table5_metrics.txt", 18682015u, 0x3f33a7efu);
 }
 
 TEST(TraceGolden, Table6MatchesGoldenBytes) {
-  const Export e = traced(
-      [](const report::TableOptions& o) { (void)report::computeTable6(o); });
-  expectGolden(e, "table6_metrics.txt", 22089u, 0x7960477cu);
+  expectGolden(
+      [](const report::TableOptions& o) { (void)report::computeTable6(o); },
+      "table6_metrics.txt", 22089u, 0x7960477cu);
 }
 
 }  // namespace

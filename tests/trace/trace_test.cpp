@@ -182,5 +182,44 @@ TEST(Trace, MetricsSummaryEmptySession) {
             std::string::npos);
 }
 
+/// The metrics summary of one scope recording every category twice, a
+/// counter and a histogram, under a session keeping `keep`.
+std::string everyCategorySummary(Keep keep) {
+  Session session(keep);
+  {
+    const Scope scope("Eagle/every category");
+    for (std::size_t c = 0; c < kCategoryCount; ++c) {
+      const auto category = static_cast<Category>(c);
+      const double us = 0.1 * static_cast<double>(c);
+      scope.buffer()->event(makeEvent(category, 0, 1.0, us));
+      scope.buffer()->event(makeEvent(category, 1, 2.0, us + 0.2));
+    }
+    scope.buffer()->count("mpisim.retransmits", 3);
+    scope.buffer()->sample("osu.latency_us", 1.25);
+  }
+  return metricsSummary(session);
+}
+
+TEST(Trace, TotalsSessionRendersTheSameMetricsAsEventsSession) {
+  const std::string events = everyCategorySummary(Keep::Events);
+  EXPECT_EQ(everyCategorySummary(Keep::Totals), events);
+  for (std::size_t c = 0; c < kCategoryCount; ++c) {
+    EXPECT_NE(events.find(categoryName(static_cast<Category>(c))),
+              std::string::npos)
+        << events;
+  }
+}
+
+TEST(Trace, TotalsSessionRefusesEventsAndChromeJson) {
+  Session session(Keep::Totals);
+  {
+    const Scope scope("Eagle/cell");
+    scope.buffer()->event(makeEvent(Category::Send, 0, 1.0, 2.0));
+    EXPECT_THROW((void)scope.buffer()->events(), PreconditionError);
+    EXPECT_EQ(scope.buffer()->totals()[0].events, 1u);
+  }
+  EXPECT_THROW((void)chromeJson(session), PreconditionError);
+}
+
 }  // namespace
 }  // namespace nodebench::trace

@@ -151,7 +151,12 @@ else
   resume_g
   cmp "${workdir}/g.merged.journal" "${workdir}/ref.journal"
   cmp "${workdir}/g.merged.store" "${workdir}/ref.store"
-  echo "   --resume over the restored journal exits 0, bytes identical"
+  if [[ -e "${gaps}" ]]; then
+    echo "error: the complete merge left the gap manifest ${gaps}" >&2
+    exit 1
+  fi
+  echo "   --resume over the restored journal exits 0, bytes identical," \
+       "gap manifest removed"
 fi
 
 echo

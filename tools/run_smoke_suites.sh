@@ -45,7 +45,9 @@
 #  - trace: the trace layer (tests/trace/): scope and sink unit tests,
 #    recorded-trace invariants, the --jobs byte-identity of the exports
 #    (TraceDeterminism) and the golden traced output of Tables 4-6
-#    (TraceGolden, against tests/trace/golden/).
+#    (TraceGolden, against tests/trace/golden/, from sessions keeping
+#    events and keeping totals), and the real binary's --metrics
+#    appendix against the same files (cli_table{4,5,6}_metrics_golden).
 #  - cli: the command line (src/cli + tests/cli/): every command's flag
 #    table against usage(), worker argv parsed back through the `table`
 #    flag table, and every CLI ctest, the refusals of malformed command
