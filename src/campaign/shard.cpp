@@ -172,7 +172,7 @@ void ShardPlan::registerTable(const std::string& label,
                     "' with a different grid (nodebench bug: table "
                     "enumeration must be deterministic)");
       }
-      return;  // `table all` recomputes Tables 5/6 for Table 7
+      return;  // perfbench's replay recomputes Tables 5/6 for Table 7
     }
   }
 

@@ -143,7 +143,8 @@ class ShardPlan {
   /// it matches this run's grid and throws Error naming the label when it
   /// does not (a machine-subset change the fingerprint cannot see).
   /// Re-registering the same label with the same cells is a no-op
-  /// (`table all` computes Tables 5/6 twice for Table 7).
+  /// (perfbench's in-process replay computes Tables 5/6 a second time
+  /// for Table 7 under one plan).
   void registerTable(const std::string& label, std::vector<GridCell> cells,
                      Journal* journal);
 

@@ -1,16 +1,18 @@
 #pragma once
 /// \file cell_runner.hpp
-/// \brief The cell-grained measurement harness shared by every table and
-/// benchmark family in `report/`.
+/// \brief The cell-grained measurement harness shared by every measured
+/// family in `report/`: Tables 4-6 and the memlab sweep and chase.
 ///
-/// `runCell` composes, in order: cooperative cancellation, shard-slice
-/// skip, per-cell trace scope, results-store probe, journal replay, the
-/// injectable test delay, and the resilient retry loop with
-/// deterministic noise salts — the contract that makes `--jobs`,
-/// `--faults`, `--trace`, `--journal --resume`, `--store`, `--shard`,
-/// serve and supervise compose for free for any family built on it.
-/// Extracted from tables.cpp when the memlab families (sweep, chase)
-/// became the second consumer; the semantics here are pinned by the
+/// A family lists its grid once, as tasks that each name a machine and a
+/// cell, and hands the list to `runGrid`: the list is the shard manifest,
+/// the fan-out order and the incident order, so none of them can drift
+/// from the others. Each task measures through `runCell`, which composes,
+/// in order: cooperative cancellation, shard-slice skip, per-cell trace
+/// scope, results-store probe, journal replay, the injectable test delay,
+/// and the resilient retry loop with deterministic noise salts — the
+/// contract that makes `--jobs`, `--faults`, `--trace`, `--journal
+/// --resume`, `--store`, `--shard`, serve and supervise compose for any
+/// family built on it. The semantics here are pinned by the
 /// campaign/shard/serve test suites and must not drift per family.
 
 #include <algorithm>
@@ -18,6 +20,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -35,56 +38,61 @@ namespace nodebench::report::cellrun {
 /// The store records one measured cell hands to runCell.
 using StoreRecords = std::vector<stats::SampleRecord>;
 
-/// Runs one cell measurement under the resilient retry policy. Attempt 0
-/// runs with salt 0 so fault-free output is byte-identical to the
-/// historical harness; each retry re-derives a deterministic salt the
-/// body folds into its noise seeds. On exhaustion the slot stays
-/// `failed`, the row keeps its zero-initialised value and the renderer
-/// degrades the cell to "n/a".
+/// Runs one cell measurement under the resilient retry policy. `body(salt)`
+/// measures the cell and returns its values as a `std::array<Summary, N>`;
+/// runCell returns them, or nullopt when the cell was skipped (cancelled,
+/// or outside this shard's slice) or failed. Attempt 0 runs with salt 0
+/// so fault-free output is byte-identical to the historical harness; each
+/// retry re-derives a deterministic salt the body folds into its noise
+/// seeds. On exhaustion the slot stays `failed`, the caller leaves its
+/// row at the zero-initialised value and the renderer degrades the cell
+/// to "n/a".
 ///
-/// Under a campaign journal (opt.journal), an already-journalled cell is
-/// *replayed* instead of re-measured: `load` restores the row fields from
-/// the record's bit-exact payload and the incident slot is restored so
-/// the diagnostics appendix matches too. A freshly measured cell is
-/// persisted via `save` before the harness moves on — cells are
-/// independent (identity-derived seeds), so skipping measured ones cannot
-/// shift any other cell's noise streams, which is what makes a resumed
-/// campaign byte-identical to an uninterrupted one.
+/// The values, in order, are the cell's journal payload. Under a campaign
+/// journal (opt.journal), an already-journalled cell is *replayed*
+/// instead of re-measured: its values are read back bit-exactly from the
+/// record and the incident slot is restored so the diagnostics appendix
+/// matches too. A freshly measured cell is journalled before the harness
+/// moves on — cells are independent (identity-derived seeds), so skipping
+/// measured ones cannot shift any other cell's noise streams, which is
+/// what makes a resumed campaign byte-identical to an uninterrupted one.
 ///
 /// Under a results store (opt.store), the cell additionally persists its
 /// raw per-repetition samples: a SampleCapture is installed around each
-/// attempt and `storeSave(capture, records)` turns the captured channels
-/// into the cell's `storeRecords` store records, which runCell appends
-/// under one store lock. A cell the store holds all of skips that; a
-/// cell the store lacks, even one record of (a kill or power loss
-/// between its records), is re-measured even when the journal could
-/// replay it, because journal payloads carry only summaries —
-/// re-measurement reproduces the identical values (identity-derived
-/// seeds), the store append writes only the missing records and the
-/// journal append below stays an idempotent no-op.
-template <typename Body, typename Save, typename Load, typename StoreSave>
-void runCell(const TableOptions& opt, const machines::Machine& m,
-             std::string cell, CellIncident& slot, Body&& body, Save&& save,
-             Load&& load, StoreSave&& storeSave,
-             std::size_t storeRecords = 1) {
+/// attempt and `storeSave(capture, values, records)` turns the captured
+/// channels into the cell's `storeRecords` store records, which runCell
+/// stamps with the cell's machine and name and appends under one store
+/// lock. A cell the store holds all of skips that; a cell the store
+/// lacks, even one record of (a kill or power loss between its records),
+/// is re-measured even when the journal could replay it, because journal
+/// payloads carry only summaries — re-measurement reproduces the
+/// identical values (identity-derived seeds), the store append writes
+/// only the missing records and the journal append below stays an
+/// idempotent no-op.
+template <typename Body, typename StoreSave>
+auto runCell(const TableOptions& opt, const machines::Machine& m,
+             const std::string& cell, CellIncident& slot, Body&& body,
+             StoreSave&& storeSave, std::size_t storeRecords = 1)
+    -> std::optional<std::invoke_result_t<Body&, std::uint64_t>> {
+  using Values = std::invoke_result_t<Body&, std::uint64_t>;
   // Cooperative cancellation is cell-grained: a set token skips cells that
   // have not started (this check), cells already past it finish and
-  // journal normally, and the compute function throws CancelledError
-  // after the fan-out. A skipped slot keeps attempts == 0, so it is
-  // neither an incident nor a journal record — a --resume run re-measures
-  // exactly the skipped cells and lands byte-identical.
+  // journal normally, and runGrid throws CancelledError after the
+  // fan-out. A skipped slot keeps attempts == 0, so it is neither an
+  // incident nor a journal record — a --resume run re-measures exactly
+  // the skipped cells and lands byte-identical.
   if (opt.cancel != nullptr && opt.cancel->requested()) {
-    return;
+    return std::nullopt;
   }
   // Shard skip comes before everything else (including the store
   // containsCell probe): a cell outside this shard's slice leaves no
   // journal record, no store record, no incident, and a zeroed row —
   // `nodebench merge` rebuilds the full artifact from the shard set.
   if (opt.shard != nullptr && !opt.shard->assigned(m.info.name, cell)) {
-    return;
+    return std::nullopt;
   }
   slot.machine = m.info.name;
-  slot.cell = std::move(cell);
+  slot.cell = cell;
   // One trace scope per cell (covering retries): model objects the body
   // constructs capture this buffer, so a traced table run yields one
   // "<machine>/<cell>" process per measurement in the exported trace.
@@ -100,17 +108,22 @@ void runCell(const TableOptions& opt, const machines::Machine& m,
       slot.attempts = static_cast<int>(rec->attempts);
       slot.failed = rec->failed;
       slot.error = rec->error;
-      if (!rec->failed) {
-        campaign::PayloadReader r(rec->payload);
-        load(r);
+      if (rec->failed) {
+        return std::nullopt;
       }
-      return;
+      campaign::PayloadReader r(rec->payload);
+      Values values;
+      for (Summary& s : values) {
+        s = campaign::readSummary(r);
+      }
+      return values;
     }
   }
   if (opt.testCellDelayMs > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(opt.testCellDelayMs));
   }
   std::optional<SampleCapture> capture;
+  std::optional<Values> values;
   const int maxAttempts = std::max(1, opt.cellRetries + 1);
   for (int attempt = 0; attempt < maxAttempts; ++attempt) {
     if (attempt > 0 && opt.retryBackoffBaseMs > 0) {
@@ -137,7 +150,7 @@ void runCell(const TableOptions& opt, const machines::Machine& m,
           attempt == 0 ? 0
                        : par::taskSeed(0xfa157a7full,
                                        static_cast<std::uint64_t>(attempt));
-      body(salt);
+      values = body(salt);
       slot.failed = false;
       break;
     } catch (const std::exception& e) {
@@ -145,10 +158,14 @@ void runCell(const TableOptions& opt, const machines::Machine& m,
       slot.error = e.what();
     }
   }
-  if (wantStore && !slot.failed) {
+  if (wantStore && values) {
     StoreRecords records;
-    storeSave(*capture, records);
+    storeSave(*capture, *values, records);
     NB_EXPECTS(records.size() == storeRecords);
+    for (stats::SampleRecord& rec : records) {
+      rec.machine = slot.machine;
+      rec.cell = slot.cell;
+    }
     opt.store->appendCell(std::move(records));
   }
   if (opt.journal != nullptr) {
@@ -158,60 +175,89 @@ void runCell(const TableOptions& opt, const machines::Machine& m,
     rec.attempts = static_cast<std::uint32_t>(slot.attempts);
     rec.failed = slot.failed;
     rec.error = slot.error;
-    if (!slot.failed) {
+    if (values) {
       campaign::PayloadWriter w;
-      save(w);
+      for (const Summary& s : *values) {
+        campaign::putSummary(w, s);
+      }
       rec.payload = w.bytes();
     }
     opt.journal->append(std::move(rec));
   }
+  return values;
 }
 
-/// Save/load lambda builders for the common one-Summary cell payloads.
-inline auto saveSummary(const Summary& s) {
-  return [&s](campaign::PayloadWriter& w) { campaign::putSummary(w, s); };
-}
-inline auto loadSummary(Summary& s) {
-  return [&s](campaign::PayloadReader& r) { s = campaign::readSummary(r); };
-}
-inline auto saveOptSummary(const std::optional<Summary>& s) {
-  return [&s](campaign::PayloadWriter& w) { campaign::putSummary(w, *s); };
-}
-inline auto loadOptSummary(std::optional<Summary>& s) {
-  return [&s](campaign::PayloadReader& r) { s = campaign::readSummary(r); };
+/// Measures a family's grid. Each task names its machine as `machineIdx`,
+/// an index into `ms`, and its harness cell as `cell`, plus whatever else
+/// the family needs to measure it. Under a shard plan the task list, in
+/// order, is registered as table `label`'s manifest before anything is
+/// measured: it is the record order a --jobs 1 journal run writes, which
+/// is what the merge reconstructs. Then `measure(machine, task, slot)`
+/// runs for every task on opt.jobs workers, where `machine` is the
+/// registry machine, or its perturbed copy under a fault plan, and `slot`
+/// is the task's own incident slot for runCell; each task must write only
+/// its own row fields. Throws CancelledError after the fan-out when the
+/// run was cancelled, and otherwise appends the retried or failed cells'
+/// incidents to `incidents`, in task order.
+template <typename Task, typename Measure>
+void runGrid(const TableOptions& opt, const char* label,
+             const std::vector<const machines::Machine*>& ms,
+             const std::vector<Task>& tasks,
+             std::vector<CellIncident>* incidents, Measure&& measure) {
+  if (opt.shard != nullptr) {
+    std::vector<campaign::GridCell> grid;
+    grid.reserve(tasks.size());
+    for (const Task& task : tasks) {
+      grid.push_back({ms[task.machineIdx]->info.name, task.cell});
+    }
+    opt.shard->registerTable(label, std::move(grid), opt.journal);
+  }
+  // Registry machines verbatim without a fault plan (identity preserved
+  // for golden tests and Table 7), per-machine perturbed copies under one.
+  std::vector<machines::Machine> faulted;
+  if (opt.faults != nullptr) {
+    faulted.reserve(ms.size());
+    for (const machines::Machine* m : ms) {
+      faulted.push_back(opt.faults->applyToMachine(*m));
+    }
+  }
+  std::vector<CellIncident> slots(tasks.size());
+  par::parallelForEach(
+      tasks.size(),
+      [&](std::size_t t) {
+        const std::size_t mi = tasks[t].machineIdx;
+        measure(faulted.empty() ? *ms[mi] : faulted[mi], tasks[t], slots[t]);
+      },
+      opt.jobs);
+  // Every started cell has finished and journalled by now, so this is the
+  // safe point to abandon the partial table.
+  if (opt.cancel != nullptr) {
+    opt.cancel->throwIfRequested();
+  }
+  if (incidents != nullptr) {
+    for (CellIncident& slot : slots) {
+      if (slot.attempts > 1 || slot.failed) {
+        incidents->push_back(std::move(slot));
+      }
+    }
+  }
 }
 
-/// Builds one store record from a measured cell. The store encoder
-/// enforces samples.size() == summary.count — every channel records
-/// exactly one value per binary run, so a full capture always matches.
-inline stats::SampleRecord sampleRecord(const CellIncident& slot,
-                                        std::string quantity, std::string unit,
+/// Builds one of a measured cell's store records; runCell fills in the
+/// cell's machine and name. The store encoder enforces samples.size() ==
+/// summary.count — every channel records exactly one value per binary
+/// run, so a full capture always matches.
+inline stats::SampleRecord sampleRecord(std::string quantity, std::string unit,
                                         stats::Better better,
                                         const Summary& summary,
                                         std::vector<double> samples) {
   stats::SampleRecord rec;
-  rec.machine = slot.machine;
-  rec.cell = slot.cell;
   rec.quantity = std::move(quantity);
   rec.unit = std::move(unit);
   rec.better = better;
   rec.summary = summary;
   rec.samples = std::move(samples);
   return rec;
-}
-
-/// Keeps only the interesting incident slots (retried or failed cells),
-/// in task order, appending them to `out` when requested.
-inline void collectIncidents(std::vector<CellIncident> slots,
-                             std::vector<CellIncident>* out) {
-  if (out == nullptr) {
-    return;
-  }
-  for (CellIncident& slot : slots) {
-    if (slot.attempts > 1 || slot.failed) {
-      out->push_back(std::move(slot));
-    }
-  }
 }
 
 /// Applies the optional TableOptions machine subset to a registry list,
@@ -232,40 +278,6 @@ inline std::vector<const machines::Machine*> filteredMachines(
   }
   return out;
 }
-
-/// Post-fan-out cancellation check shared by the compute functions: all
-/// in-flight cells have finished and journalled by the time the fan-out
-/// returns, so this is the safe point to abandon the partial table.
-inline void throwIfCancelled(const TableOptions& opt) {
-  if (opt.cancel != nullptr) {
-    opt.cancel->throwIfRequested();
-  }
-}
-
-/// The machines a table run measures: registry pointers verbatim without
-/// a fault plan (identity preserved for golden tests and Table 7), or
-/// per-machine perturbed copies under one.
-class MeasuredMachines {
- public:
-  MeasuredMachines(const std::vector<const machines::Machine*>& ms,
-                   const faults::FaultPlan* plan) {
-    if (plan == nullptr) {
-      return;
-    }
-    faulted_.reserve(ms.size());
-    for (const machines::Machine* m : ms) {
-      faulted_.push_back(plan->applyToMachine(*m));
-    }
-  }
-
-  [[nodiscard]] const machines::Machine& at(
-      const std::vector<const machines::Machine*>& ms, std::size_t i) const {
-    return faulted_.empty() ? *ms[i] : faulted_[i];
-  }
-
- private:
-  std::vector<machines::Machine> faulted_;
-};
 
 inline bool cellFailed(const std::vector<CellIncident>* incidents,
                        const std::string& machine, const std::string& cell) {

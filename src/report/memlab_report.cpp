@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "babelstream/kernels.hpp"
-#include "campaign/shard.hpp"
-#include "core/parallel.hpp"
 #include "core/samples.hpp"
 #include "machines/registry.hpp"
 #include "report/ascii_chart.hpp"
@@ -19,14 +17,20 @@ using machines::Machine;
 namespace {
 
 using cellrun::cellFailed;
-using cellrun::collectIncidents;
 using cellrun::filteredMachines;
-using cellrun::MeasuredMachines;
 using cellrun::naOr;
 using cellrun::runCell;
+using cellrun::runGrid;
 using cellrun::sampleRecord;
 using cellrun::StoreRecords;
-using cellrun::throwIfCancelled;
+
+/// One (machine, grid point) cell of a memlab family; `point` indexes the
+/// machine row's points.
+struct PointTask {
+  std::size_t machineIdx = 0;
+  std::string cell;
+  std::size_t point = 0;
+};
 
 std::vector<const Machine*> allMachinePtrs() {
   std::vector<const Machine*> out;
@@ -131,57 +135,44 @@ std::string chaseCellName(ByteCount workingSet) {
 std::vector<SweepRow> computeSweep(const TableOptions& opt,
                                    std::vector<CellIncident>* incidents) {
   const auto ms = filteredMachines(allMachinePtrs(), opt);
-  const MeasuredMachines measured(ms, opt.faults);
   memlab::SweepConfig base;
   base.binaryRuns = opt.binaryRuns;
   const std::vector<ByteCount> grid = memlab::sweepGrid(base);
+  // Every point carries its size before the fan-out, so a failed or
+  // unmeasured point still renders on its own row.
   std::vector<SweepRow> rows(ms.size());
+  std::vector<PointTask> tasks;
+  tasks.reserve(ms.size() * grid.size());
   for (std::size_t i = 0; i < ms.size(); ++i) {
     rows[i].machine = ms[i];
-    rows[i].points.resize(grid.size());
-  }
-  if (opt.shard != nullptr) {
-    std::vector<campaign::GridCell> cells;
-    cells.reserve(ms.size() * grid.size());
-    for (const Machine* m : ms) {
-      for (const ByteCount size : grid) {
-        cells.push_back({m->info.name, sweepCellName(size * 3ull)});
-      }
+    for (std::size_t j = 0; j < grid.size(); ++j) {
+      rows[i].points.push_back({grid[j], grid[j] * 3ull, {}});
+      tasks.push_back({i, sweepCellName(grid[j] * 3ull), j});
     }
-    opt.shard->registerTable("sweep", std::move(cells), opt.journal);
   }
-  std::vector<CellIncident> slots(ms.size() * grid.size());
-  par::parallelForEach(
-      slots.size(),
-      [&](std::size_t task) {
-        const std::size_t mi = task / grid.size();
-        const std::size_t j = task % grid.size();
-        const Machine& m = measured.at(ms, mi);
-        memlab::SweepPoint& point = rows[mi].points[j];
-        runCell(opt, m, sweepCellName(grid[j] * 3ull), slots[task],
-                [&](std::uint64_t salt) {
-                  memlab::SweepConfig cfg = base;
-                  cfg.seedSalt = salt;
-                  point = memlab::measureSweepPoint(m, grid[j], cfg);
-                },
-                [&](campaign::PayloadWriter& w) {
-                  campaign::putSummary(w, point.bandwidthGBps);
-                },
-                [&](campaign::PayloadReader& r) {
-                  point = memlab::SweepPoint{grid[j], grid[j] * 3ull,
-                                             campaign::readSummary(r)};
-                },
-                [&](SampleCapture& cap, StoreRecords& out) {
-                  out.push_back(sampleRecord(
-                      slots[task], memlab::kSweepQuantity, "GB/s",
-                      stats::Better::Higher, point.bandwidthGBps,
-                      cap.take(std::string(babelstream::streamOpName(
-                          babelstream::StreamOp::Triad)))));
-                });
-      },
-      opt.jobs);
-  throwIfCancelled(opt);
-  collectIncidents(std::move(slots), incidents);
+  runGrid(opt, "sweep", ms, tasks, incidents,
+          [&](const Machine& m, const PointTask& task, CellIncident& slot) {
+            memlab::SweepPoint& point = rows[task.machineIdx].points[task.point];
+            if (const auto v = runCell(
+                    opt, m, task.cell, slot,
+                    [&](std::uint64_t salt) {
+                      memlab::SweepConfig cfg = base;
+                      cfg.seedSalt = salt;
+                      return std::array{
+                          memlab::measureSweepPoint(m, point.arrayBytes, cfg)
+                              .bandwidthGBps};
+                    },
+                    [](SampleCapture& cap, const std::array<Summary, 1>& values,
+                       StoreRecords& out) {
+                      out.push_back(sampleRecord(
+                          memlab::kSweepQuantity, "GB/s",
+                          stats::Better::Higher, values[0],
+                          cap.take(babelstream::streamOpName(
+                              babelstream::StreamOp::Triad))));
+                    })) {
+              point.bandwidthGBps = (*v)[0];
+            }
+          });
   return rows;
 }
 
@@ -204,58 +195,42 @@ std::string renderSweepChart(const std::vector<SweepRow>& rows) {
 std::vector<ChaseRow> computeChase(const TableOptions& opt,
                                    std::vector<CellIncident>* incidents) {
   const auto ms = filteredMachines(allMachinePtrs(), opt);
-  const MeasuredMachines measured(ms, opt.faults);
   memlab::ChaseConfig base;
   base.binaryRuns = opt.binaryRuns;
   const std::vector<ByteCount> grid = memlab::chaseGrid(base);
   std::vector<ChaseRow> rows(ms.size());
+  std::vector<PointTask> tasks;
+  tasks.reserve(ms.size() * grid.size());
   for (std::size_t i = 0; i < ms.size(); ++i) {
     rows[i].machine = ms[i];
-    rows[i].points.resize(grid.size());
-  }
-  if (opt.shard != nullptr) {
-    std::vector<campaign::GridCell> cells;
-    cells.reserve(ms.size() * grid.size());
-    for (const Machine* m : ms) {
-      for (const ByteCount size : grid) {
-        cells.push_back({m->info.name, chaseCellName(size)});
-      }
+    for (std::size_t j = 0; j < grid.size(); ++j) {
+      rows[i].points.push_back({grid[j], {}, {}});
+      tasks.push_back({i, chaseCellName(grid[j]), j});
     }
-    opt.shard->registerTable("chase", std::move(cells), opt.journal);
   }
-  std::vector<CellIncident> slots(ms.size() * grid.size());
-  par::parallelForEach(
-      slots.size(),
-      [&](std::size_t task) {
-        const std::size_t mi = task / grid.size();
-        const std::size_t j = task % grid.size();
-        const Machine& m = measured.at(ms, mi);
-        memlab::ChasePoint& point = rows[mi].points[j];
-        runCell(opt, m, chaseCellName(grid[j]), slots[task],
-                [&](std::uint64_t salt) {
-                  memlab::ChaseConfig cfg = base;
-                  cfg.seedSalt = salt;
-                  point = memlab::measureChasePoint(m, grid[j], cfg);
-                },
-                [&](campaign::PayloadWriter& w) {
-                  campaign::putSummary(w, point.nsPerAccess);
-                  campaign::putSummary(w, point.clkPerOp);
-                },
-                [&](campaign::PayloadReader& r) {
-                  point.workingSet = grid[j];
-                  point.nsPerAccess = campaign::readSummary(r);
-                  point.clkPerOp = campaign::readSummary(r);
-                },
-                [&](SampleCapture& cap, StoreRecords& out) {
-                  out.push_back(sampleRecord(
-                      slots[task], memlab::kChaseSampleChannel, "ns",
-                      stats::Better::Lower, point.nsPerAccess,
-                      cap.take(memlab::kChaseSampleChannel)));
-                });
-      },
-      opt.jobs);
-  throwIfCancelled(opt);
-  collectIncidents(std::move(slots), incidents);
+  runGrid(opt, "chase", ms, tasks, incidents,
+          [&](const Machine& m, const PointTask& task, CellIncident& slot) {
+            memlab::ChasePoint& point = rows[task.machineIdx].points[task.point];
+            if (const auto v = runCell(
+                    opt, m, task.cell, slot,
+                    [&](std::uint64_t salt) {
+                      memlab::ChaseConfig cfg = base;
+                      cfg.seedSalt = salt;
+                      const memlab::ChasePoint measured =
+                          memlab::measureChasePoint(m, point.workingSet, cfg);
+                      return std::array{measured.nsPerAccess, measured.clkPerOp};
+                    },
+                    [](SampleCapture& cap, const std::array<Summary, 2>& values,
+                       StoreRecords& out) {
+                      out.push_back(sampleRecord(
+                          memlab::kChaseSampleChannel, "ns",
+                          stats::Better::Lower, values[0],
+                          cap.take(memlab::kChaseSampleChannel)));
+                    })) {
+              point.nsPerAccess = (*v)[0];
+              point.clkPerOp = (*v)[1];
+            }
+          });
   return rows;
 }
 

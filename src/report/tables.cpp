@@ -1,11 +1,9 @@
 #include "report/tables.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <deque>
 #include <optional>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "babelstream/driver.hpp"
@@ -14,7 +12,6 @@
 #include "campaign/fingerprint.hpp"
 #include "campaign/shard.hpp"
 #include "commscope/commscope.hpp"
-#include "core/parallel.hpp"
 #include "core/samples.hpp"
 #include "faults/fault_plan.hpp"
 #include "machines/registry.hpp"
@@ -23,29 +20,19 @@
 #include "osu/pairs.hpp"
 #include "report/cell_runner.hpp"
 #include "stats/store.hpp"
-#include "trace/trace.hpp"
 
 namespace nodebench::report {
 
 using machines::Machine;
 using topo::LinkClass;
 
-// The shared cell harness (extracted to cell_runner.hpp so the memlab
-// families reuse it); tables.cpp predates the split, so pull the names
-// back in unqualified.
 using cellrun::cellFailed;
-using cellrun::collectIncidents;
 using cellrun::filteredMachines;
-using cellrun::loadOptSummary;
-using cellrun::loadSummary;
-using cellrun::MeasuredMachines;
 using cellrun::naOr;
 using cellrun::runCell;
+using cellrun::runGrid;
 using cellrun::sampleRecord;
-using cellrun::saveOptSummary;
-using cellrun::saveSummary;
 using cellrun::StoreRecords;
-using cellrun::throwIfCancelled;
 
 namespace {
 
@@ -210,120 +197,93 @@ OmpSweepResult ompSweep(const Machine& m, const TableOptions& opt,
   return out;
 }
 
+namespace {
+
+/// One OSU ping-pong latency cell between the two ranks `pair(m)` places,
+/// with buffers in `kind` memory.
+template <typename Pair>
+std::optional<std::array<Summary, 1>> osuLatencyCell(
+    const TableOptions& opt, const Machine& m, const std::string& cell,
+    CellIncident& slot, mpisim::BufferSpace::Kind kind, Pair&& pair) {
+  return runCell(
+      opt, m, cell, slot,
+      [&](std::uint64_t salt) {
+        osu::LatencyConfig cfg;
+        cfg.messageSize = opt.mpiMessageSize;
+        cfg.binaryRuns = opt.binaryRuns;
+        cfg.seed ^= salt;
+        const auto [a, b] = pair(m);
+        return std::array{
+            osu::LatencyBenchmark(m, a, b, kind).measure(cfg).latencyUs};
+      },
+      [](SampleCapture& cap, const std::array<Summary, 1>& v,
+         StoreRecords& out) {
+        out.push_back(sampleRecord("latency", "us", stats::Better::Lower, v[0],
+                                   cap.take(osu::kLatencySampleChannel)));
+      });
+}
+
+/// One (machine, cell) task of Table 4. The two latency cells name their
+/// rank pair and row field; the host bandwidth cell leaves both null.
+struct Cpu4Task {
+  std::size_t machineIdx = 0;
+  std::string cell;
+  osu::PlacementPair (*pair)(const Machine&) = nullptr;
+  Summary Cpu4Row::*latency = nullptr;
+};
+
+}  // namespace
+
 std::vector<Cpu4Row> computeTable4(const TableOptions& opt,
                                    std::vector<CellIncident>* incidents) {
   const auto ms = filteredMachines(machines::cpuMachines(), opt);
-  const MeasuredMachines measured(ms, opt.faults);
   std::vector<Cpu4Row> rows(ms.size());
+  std::vector<Cpu4Task> tasks;
+  tasks.reserve(ms.size() * 3);
   for (std::size_t i = 0; i < ms.size(); ++i) {
     rows[i].machine = ms[i];
+    tasks.push_back({i, kCellHostBandwidth});
+    tasks.push_back({i, kCellOnSocket, osu::onSocketPair, &Cpu4Row::onSocketUs});
+    tasks.push_back({i, kCellOnNode, osu::onNodePair, &Cpu4Row::onNodeUs});
   }
-  if (opt.shard != nullptr) {
-    // The grid in task-enumeration order — the record order a --jobs 1
-    // journal run writes, which is what the merge reconstructs.
-    std::vector<campaign::GridCell> grid;
-    grid.reserve(ms.size() * 3);
-    for (const Machine* m : ms) {
-      grid.push_back({m->info.name, kCellHostBandwidth});
-      grid.push_back({m->info.name, kCellOnSocket});
-      grid.push_back({m->info.name, kCellOnNode});
-    }
-    opt.shard->registerTable("table 4", std::move(grid), opt.journal);
-  }
-  // Three independent cells per machine; each task writes distinct fields
-  // of its pre-allocated row (and its own incident slot).
-  std::vector<CellIncident> slots(ms.size() * 3);
-  par::parallelForEach(
-      slots.size(),
-      [&](std::size_t task) {
-        const Machine& m = measured.at(ms, task / 3);
-        Cpu4Row& row = rows[task / 3];
-        osu::LatencyConfig lcfg;
-        lcfg.messageSize = opt.mpiMessageSize;
-        lcfg.binaryRuns = opt.binaryRuns;
-        switch (task % 3) {
-          case 0: {
+  runGrid(opt, "table 4", ms, tasks, incidents,
+          [&](const Machine& m, const Cpu4Task& task, CellIncident& slot) {
+            Cpu4Row& row = rows[task.machineIdx];
+            if (task.pair != nullptr) {
+              if (const auto v = osuLatencyCell(opt, m, task.cell, slot,
+                                                mpisim::BufferSpace::Kind::Host,
+                                                task.pair)) {
+                row.*task.latency = (*v)[0];
+              }
+              return;
+            }
             // The sweep's winning sample vectors, stashed by the body for
-            // the storeSave below (the host bandwidth cell is the one cell
-            // that yields two store records).
+            // the store (the one cell that yields two store records).
             std::vector<double> singleSamples;
             std::vector<double> allSamples;
-            runCell(opt, m, kCellHostBandwidth, slots[task],
-                    [&](std::uint64_t salt) {
-                      OmpSweepResult sweep = ompSweep(m, opt, salt);
-                      row.singleGBps = sweep.bestSingle;
-                      row.allGBps = sweep.bestAll;
-                      singleSamples = std::move(sweep.bestSingleSamples);
-                      allSamples = std::move(sweep.bestAllSamples);
-                    },
-                    [&](campaign::PayloadWriter& w) {
-                      campaign::putSummary(w, row.singleGBps);
-                      campaign::putSummary(w, row.allGBps);
-                    },
-                    [&](campaign::PayloadReader& r) {
-                      row.singleGBps = campaign::readSummary(r);
-                      row.allGBps = campaign::readSummary(r);
-                    },
-                    [&](SampleCapture&, StoreRecords& out) {
-                      out.push_back(sampleRecord(
-                          slots[task], "single-thread bandwidth", "GB/s",
-                          stats::Better::Higher, row.singleGBps,
-                          std::move(singleSamples)));
-                      out.push_back(sampleRecord(
-                          slots[task], "full-team bandwidth", "GB/s",
-                          stats::Better::Higher, row.allGBps,
-                          std::move(allSamples)));
-                    },
-                    /*storeRecords=*/2);
-            break;
-          }
-          case 1:
-            runCell(opt, m, kCellOnSocket, slots[task],
-                    [&](std::uint64_t salt) {
-                      osu::LatencyConfig cfg = lcfg;
-                      cfg.seed ^= salt;
-                      const auto [sockA, sockB] = osu::onSocketPair(m);
-                      row.onSocketUs =
-                          osu::LatencyBenchmark(m, sockA, sockB,
-                                                mpisim::BufferSpace::Kind::Host)
-                              .measure(cfg)
-                              .latencyUs;
-                    },
-                    saveSummary(row.onSocketUs), loadSummary(row.onSocketUs),
-                    [&](SampleCapture& cap, StoreRecords& out) {
-                      out.push_back(sampleRecord(
-                          slots[task], "latency", "us", stats::Better::Lower,
-                          row.onSocketUs,
-                          cap.take(osu::kLatencySampleChannel)));
-                    });
-            break;
-          case 2:
-            runCell(opt, m, kCellOnNode, slots[task],
-                    [&](std::uint64_t salt) {
-                      osu::LatencyConfig cfg = lcfg;
-                      cfg.seed ^= salt;
-                      const auto [nodeA, nodeB] = osu::onNodePair(m);
-                      row.onNodeUs =
-                          osu::LatencyBenchmark(m, nodeA, nodeB,
-                                                mpisim::BufferSpace::Kind::Host)
-                              .measure(cfg)
-                              .latencyUs;
-                    },
-                    saveSummary(row.onNodeUs), loadSummary(row.onNodeUs),
-                    [&](SampleCapture& cap, StoreRecords& out) {
-                      out.push_back(sampleRecord(
-                          slots[task], "latency", "us", stats::Better::Lower,
-                          row.onNodeUs,
-                          cap.take(osu::kLatencySampleChannel)));
-                    });
-            break;
-          default:
-            break;
-        }
-      },
-      opt.jobs);
-  throwIfCancelled(opt);
-  collectIncidents(std::move(slots), incidents);
+            const auto v = runCell(
+                opt, m, task.cell, slot,
+                [&](std::uint64_t salt) {
+                  OmpSweepResult sweep = ompSweep(m, opt, salt);
+                  singleSamples = std::move(sweep.bestSingleSamples);
+                  allSamples = std::move(sweep.bestAllSamples);
+                  return std::array{sweep.bestSingle, sweep.bestAll};
+                },
+                [&](SampleCapture&, const std::array<Summary, 2>& values,
+                    StoreRecords& out) {
+                  out.push_back(sampleRecord("single-thread bandwidth", "GB/s",
+                                             stats::Better::Higher, values[0],
+                                             std::move(singleSamples)));
+                  out.push_back(sampleRecord("full-team bandwidth", "GB/s",
+                                             stats::Better::Higher, values[1],
+                                             std::move(allSamples)));
+                },
+                /*storeRecords=*/2);
+            if (v) {
+              row.singleGBps = (*v)[0];
+              row.allGBps = (*v)[1];
+            }
+          });
   return rows;
 }
 
@@ -361,11 +321,12 @@ Table renderTable4(const std::vector<Cpu4Row>& rows,
 
 namespace {
 
-/// One (machine, cell) work item of the GPU-table fan-outs. `linkClass`
-/// is meaningful only for the per-class D2D cells.
-struct GpuCellTask {
+/// One (machine, cell) task of Table 5: the device bandwidth cell, the
+/// host-to-host latency cell, or a D2D latency cell of class `linkClass`.
+struct Gpu5Task {
   std::size_t machineIdx = 0;
-  int kind = 0;
+  std::string cell;
+  bool deviceBandwidth = false;
   LinkClass linkClass = LinkClass::None;
 };
 
@@ -374,133 +335,66 @@ struct GpuCellTask {
 std::vector<Gpu5Row> computeTable5(const TableOptions& opt,
                                    std::vector<CellIncident>* incidents) {
   const auto ms = filteredMachines(machines::gpuMachines(), opt);
-  const MeasuredMachines measured(ms, opt.faults);
   std::vector<Gpu5Row> rows(ms.size());
-
-  // Enumerate the (machine x cell) grid up front; the present link
-  // classes differ per machine, so the task list is ragged. The grid is
-  // always the *registry* machine's — a fault plan never changes the
-  // table's shape, only which cells degrade to "n/a". Enumeration also
-  // primes each topology's route cache before the fan-out.
-  enum { kBabelstream = 0, kHostLatency = 1, kDeviceLatency = 2 };
-  std::vector<GpuCellTask> tasks;
+  // The present link classes differ per machine, so the grid is ragged.
+  // It is always the *registry* machine's — a fault plan never changes
+  // the table's shape, only which cells degrade to "n/a". Listing the
+  // classes also primes each topology's route cache before the fan-out.
+  std::vector<Gpu5Task> tasks;
   for (std::size_t i = 0; i < ms.size(); ++i) {
     rows[i].machine = ms[i];
-    tasks.push_back({i, kBabelstream, LinkClass::None});
-    tasks.push_back({i, kHostLatency, LinkClass::None});
+    tasks.push_back({i, kCellDeviceBandwidth, true});
+    tasks.push_back({i, kCellHostToHost});
     for (const LinkClass c : ms[i]->topology.presentGpuLinkClasses()) {
-      tasks.push_back({i, kDeviceLatency, c});
+      tasks.push_back({i, d2dMpiCellName(c), false, c});
     }
   }
-
-  if (opt.shard != nullptr) {
-    std::vector<campaign::GridCell> grid;
-    grid.reserve(tasks.size());
-    for (const GpuCellTask& task : tasks) {
-      const std::string& machine = ms[task.machineIdx]->info.name;
-      switch (task.kind) {
-        case kBabelstream:
-          grid.push_back({machine, kCellDeviceBandwidth});
-          break;
-        case kHostLatency:
-          grid.push_back({machine, kCellHostToHost});
-          break;
-        default:
-          grid.push_back({machine, d2dMpiCellName(task.linkClass)});
-          break;
-      }
-    }
-    opt.shard->registerTable("table 5", std::move(grid), opt.journal);
-  }
-
-  std::vector<CellIncident> slots(tasks.size());
-  par::parallelForEach(
-      tasks.size(),
-      [&](std::size_t t) {
-        const GpuCellTask& task = tasks[t];
-        const Machine& m = measured.at(ms, task.machineIdx);
+  runGrid(
+      opt, "table 5", ms, tasks, incidents,
+      [&](const Machine& m, const Gpu5Task& task, CellIncident& slot) {
         Gpu5Row& row = rows[task.machineIdx];
-        osu::LatencyConfig lcfg;
-        lcfg.messageSize = opt.mpiMessageSize;
-        lcfg.binaryRuns = opt.binaryRuns;
-        switch (task.kind) {
-          case kBabelstream: {
-            // Winning STREAM op, stashed by the body so storeSave can pull
-            // that op's raw-sample channel.
-            std::string bestOp;
-            runCell(opt, m, kCellDeviceBandwidth, slots[t],
-                    [&](std::uint64_t salt) {
-                      babelstream::SimDeviceBackend backend(m, /*device=*/0);
-                      babelstream::DriverConfig dcfg;
-                      dcfg.arrayBytes = opt.gpuArrayBytes;
-                      dcfg.binaryRuns = opt.binaryRuns;
-                      dcfg.seed ^= m.seed ^ salt;
-                      const babelstream::RunResult result =
-                          babelstream::run(backend, dcfg);
-                      const auto& best = result.best();
-                      row.deviceGBps = best.bandwidthGBps;
-                      bestOp = std::string(babelstream::streamOpName(best.op));
-                    },
-                    saveSummary(row.deviceGBps), loadSummary(row.deviceGBps),
-                    [&](SampleCapture& cap, StoreRecords& out) {
-                      out.push_back(sampleRecord(
-                          slots[t], "bandwidth", "GB/s", stats::Better::Higher,
-                          row.deviceGBps, cap.take(bestOp)));
-                    });
-            break;
+        if (task.deviceBandwidth) {
+          // Winning STREAM op, stashed by the body so the store can pull
+          // that op's raw-sample channel.
+          std::string bestOp;
+          if (const auto v = runCell(
+                  opt, m, task.cell, slot,
+                  [&](std::uint64_t salt) {
+                    babelstream::SimDeviceBackend backend(m, /*device=*/0);
+                    babelstream::DriverConfig dcfg;
+                    dcfg.arrayBytes = opt.gpuArrayBytes;
+                    dcfg.binaryRuns = opt.binaryRuns;
+                    dcfg.seed ^= m.seed ^ salt;
+                    const babelstream::RunResult result =
+                        babelstream::run(backend, dcfg);
+                    const auto& best = result.best();
+                    bestOp = std::string(babelstream::streamOpName(best.op));
+                    return std::array{best.bandwidthGBps};
+                  },
+                  [&](SampleCapture& cap, const std::array<Summary, 1>& values,
+                      StoreRecords& out) {
+                    out.push_back(sampleRecord("bandwidth", "GB/s",
+                                               stats::Better::Higher,
+                                               values[0], cap.take(bestOp)));
+                  })) {
+            row.deviceGBps = (*v)[0];
           }
-          case kHostLatency:
-            runCell(opt, m, kCellHostToHost, slots[t],
-                    [&](std::uint64_t salt) {
-                      osu::LatencyConfig cfg = lcfg;
-                      cfg.seed ^= salt;
-                      const auto [hostA, hostB] = osu::onSocketPair(m);
-                      row.hostToHostUs =
-                          osu::LatencyBenchmark(m, hostA, hostB,
-                                                mpisim::BufferSpace::Kind::Host)
-                              .measure(cfg)
-                              .latencyUs;
-                    },
-                    saveSummary(row.hostToHostUs),
-                    loadSummary(row.hostToHostUs),
-                    [&](SampleCapture& cap, StoreRecords& out) {
-                      out.push_back(sampleRecord(
-                          slots[t], "latency", "us", stats::Better::Lower,
-                          row.hostToHostUs,
-                          cap.take(osu::kLatencySampleChannel)));
-                    });
-            break;
-          case kDeviceLatency: {
-            auto& d2dSlot =
-                row.deviceToDeviceUs[static_cast<int>(task.linkClass)];
-            runCell(opt, m, d2dMpiCellName(task.linkClass), slots[t],
-                    [&](std::uint64_t salt) {
-                      osu::LatencyConfig cfg = lcfg;
-                      cfg.seed ^= salt;
-                      const auto [devA, devB] =
-                          osu::devicePair(m, task.linkClass);
-                      d2dSlot =
-                          osu::LatencyBenchmark(
-                              m, devA, devB,
-                              mpisim::BufferSpace::Kind::Device)
-                              .measure(cfg)
-                              .latencyUs;
-                    },
-                    saveOptSummary(d2dSlot), loadOptSummary(d2dSlot),
-                    [&](SampleCapture& cap, StoreRecords& out) {
-                      out.push_back(sampleRecord(
-                          slots[t], "latency", "us", stats::Better::Lower,
-                          *d2dSlot, cap.take(osu::kLatencySampleChannel)));
-                    });
-            break;
+        } else if (task.linkClass == LinkClass::None) {
+          if (const auto v =
+                  osuLatencyCell(opt, m, task.cell, slot,
+                                 mpisim::BufferSpace::Kind::Host,
+                                 osu::onSocketPair)) {
+            row.hostToHostUs = (*v)[0];
           }
-          default:
-            break;
+        } else if (const auto v = osuLatencyCell(
+                       opt, m, task.cell, slot,
+                       mpisim::BufferSpace::Kind::Device,
+                       [&](const Machine& measured) {
+                         return osu::devicePair(measured, task.linkClass);
+                       })) {
+          row.deviceToDeviceUs[static_cast<int>(task.linkClass)] = (*v)[0];
         }
-      },
-      opt.jobs);
-  throwIfCancelled(opt);
-  collectIncidents(std::move(slots), incidents);
+      });
   return rows;
 }
 
@@ -529,191 +423,97 @@ Table renderTable5(const std::vector<Gpu5Row>& rows,
   return t;
 }
 
+namespace {
+
+/// One Comm|Scope quantity of Table 6: its cell, the CommScope method
+/// that measures it, the row field that keeps it, and its store record.
+struct ScopeQuantity {
+  const char* cell;
+  Summary (commscope::CommScope::*measure)(const commscope::Config&);
+  Summary Gpu6Row::*field;
+  const char* quantity;
+  const char* unit;
+  stats::Better better;
+  const char* channel;
+};
+
+constexpr ScopeQuantity kScopeQuantities[] = {
+    {kCellLaunch, &commscope::CommScope::kernelLaunchUs, &Gpu6Row::launchUs,
+     "latency", "us", stats::Better::Lower, commscope::kLaunchSampleChannel},
+    {kCellWait, &commscope::CommScope::syncWaitUs, &Gpu6Row::waitUs, "latency",
+     "us", stats::Better::Lower, commscope::kWaitSampleChannel},
+    {kCellHdLatency, &commscope::CommScope::hostDeviceLatencyUs,
+     &Gpu6Row::hostDeviceLatencyUs, "latency", "us", stats::Better::Lower,
+     commscope::kHdLatencySampleChannel},
+    {kCellHdBandwidth, &commscope::CommScope::hostDeviceBandwidthGBps,
+     &Gpu6Row::hostDeviceBandwidthGBps, "bandwidth", "GB/s",
+     stats::Better::Higher, commscope::kHdBandwidthSampleChannel},
+};
+
+/// The per-class D2D copy cells: named by d2dCopyCellName, measured by
+/// CommScope::d2dLatencyUs and kept in Gpu6Row::d2dLatencyUs.
+constexpr ScopeQuantity kScopeD2d{nullptr,   nullptr, nullptr,
+                                  "latency", "us",    stats::Better::Lower,
+                                  commscope::kD2dLatencySampleChannel};
+
+struct Gpu6Task {
+  std::size_t machineIdx = 0;
+  std::string cell;
+  const ScopeQuantity* quantity = nullptr;
+  LinkClass linkClass = LinkClass::None;
+};
+
+}  // namespace
+
 std::vector<Gpu6Row> computeTable6(const TableOptions& opt,
                                    std::vector<CellIncident>* incidents) {
   const auto ms = filteredMachines(machines::gpuMachines(), opt);
-  const MeasuredMachines measured(ms, opt.faults);
   std::vector<Gpu6Row> rows(ms.size());
-
+  std::vector<Gpu6Task> tasks;
+  for (std::size_t i = 0; i < ms.size(); ++i) {
+    rows[i].machine = ms[i];
+    for (const ScopeQuantity& q : kScopeQuantities) {
+      tasks.push_back({i, q.cell, &q});
+    }
+    for (const LinkClass c : ms[i]->topology.presentGpuLinkClasses()) {
+      tasks.push_back({i, d2dCopyCellName(c), &kScopeD2d, c});
+    }
+  }
   // Each Comm|Scope quantity is measured by its own scope instance: the
   // truth methods reset the simulated runtime before measuring and the
   // aggregate noise streams are seeded from the cell identity alone, so a
   // per-cell instance reports exactly what the shared-instance
   // measureAll() sequence reported.
-  enum {
-    kLaunch = 0,
-    kWait = 1,
-    kHostDeviceLatency = 2,
-    kHostDeviceBandwidth = 3,
-    kD2dLatency = 4
-  };
-  std::vector<GpuCellTask> tasks;
-  for (std::size_t i = 0; i < ms.size(); ++i) {
-    rows[i].machine = ms[i];
-    tasks.push_back({i, kLaunch, LinkClass::None});
-    tasks.push_back({i, kWait, LinkClass::None});
-    tasks.push_back({i, kHostDeviceLatency, LinkClass::None});
-    tasks.push_back({i, kHostDeviceBandwidth, LinkClass::None});
-    for (const LinkClass c : ms[i]->topology.presentGpuLinkClasses()) {
-      tasks.push_back({i, kD2dLatency, c});
-    }
-  }
-
-  if (opt.shard != nullptr) {
-    std::vector<campaign::GridCell> grid;
-    grid.reserve(tasks.size());
-    for (const GpuCellTask& task : tasks) {
-      const std::string& machine = ms[task.machineIdx]->info.name;
-      switch (task.kind) {
-        case kLaunch:
-          grid.push_back({machine, kCellLaunch});
-          break;
-        case kWait:
-          grid.push_back({machine, kCellWait});
-          break;
-        case kHostDeviceLatency:
-          grid.push_back({machine, kCellHdLatency});
-          break;
-        case kHostDeviceBandwidth:
-          grid.push_back({machine, kCellHdBandwidth});
-          break;
-        default:
-          grid.push_back({machine, d2dCopyCellName(task.linkClass)});
-          break;
-      }
-    }
-    opt.shard->registerTable("table 6", std::move(grid), opt.journal);
-  }
-
-  std::vector<CellIncident> slots(tasks.size());
-  par::parallelForEach(
-      tasks.size(),
-      [&](std::size_t t) {
-        const GpuCellTask& task = tasks[t];
-        const Machine& m = measured.at(ms, task.machineIdx);
+  runGrid(
+      opt, "table 6", ms, tasks, incidents,
+      [&](const Machine& m, const Gpu6Task& task, CellIncident& slot) {
+        const ScopeQuantity& q = *task.quantity;
+        const auto v = runCell(
+            opt, m, task.cell, slot,
+            [&](std::uint64_t salt) {
+              commscope::CommScope scope(m);
+              commscope::Config cfg;
+              cfg.binaryRuns = opt.binaryRuns;
+              cfg.seed ^= salt;
+              return std::array{q.measure != nullptr
+                                    ? (scope.*q.measure)(cfg)
+                                    : scope.d2dLatencyUs(task.linkClass, cfg)};
+            },
+            [&](SampleCapture& cap, const std::array<Summary, 1>& values,
+                StoreRecords& out) {
+              out.push_back(sampleRecord(q.quantity, q.unit, q.better,
+                                         values[0], cap.take(q.channel)));
+            });
+        if (!v) {
+          return;
+        }
         Gpu6Row& row = rows[task.machineIdx];
-        const auto cellName = [&] {
-          switch (task.kind) {
-            case kLaunch: return std::string(kCellLaunch);
-            case kWait: return std::string(kCellWait);
-            case kHostDeviceLatency: return std::string(kCellHdLatency);
-            case kHostDeviceBandwidth: return std::string(kCellHdBandwidth);
-            default: return d2dCopyCellName(task.linkClass);
-          }
-        };
-        runCell(opt, m, cellName(), slots[t],
-                [&](std::uint64_t salt) {
-                  commscope::CommScope scope(m);
-                  commscope::Config cfg;
-                  cfg.binaryRuns = opt.binaryRuns;
-                  cfg.seed ^= salt;
-                  switch (task.kind) {
-                    case kLaunch:
-                      row.launchUs = scope.kernelLaunchUs(cfg);
-                      break;
-                    case kWait:
-                      row.waitUs = scope.syncWaitUs(cfg);
-                      break;
-                    case kHostDeviceLatency:
-                      row.hostDeviceLatencyUs = scope.hostDeviceLatencyUs(cfg);
-                      break;
-                    case kHostDeviceBandwidth:
-                      row.hostDeviceBandwidthGBps =
-                          scope.hostDeviceBandwidthGBps(cfg);
-                      break;
-                    case kD2dLatency:
-                      row.d2dLatencyUs[static_cast<int>(task.linkClass)] =
-                          scope.d2dLatencyUs(task.linkClass, cfg);
-                      break;
-                    default:
-                      break;
-                  }
-                },
-                [&](campaign::PayloadWriter& w) {
-                  switch (task.kind) {
-                    case kLaunch:
-                      campaign::putSummary(w, row.launchUs);
-                      break;
-                    case kWait:
-                      campaign::putSummary(w, row.waitUs);
-                      break;
-                    case kHostDeviceLatency:
-                      campaign::putSummary(w, row.hostDeviceLatencyUs);
-                      break;
-                    case kHostDeviceBandwidth:
-                      campaign::putSummary(w, row.hostDeviceBandwidthGBps);
-                      break;
-                    case kD2dLatency:
-                      campaign::putSummary(
-                          w,
-                          *row.d2dLatencyUs[static_cast<int>(task.linkClass)]);
-                      break;
-                    default:
-                      break;
-                  }
-                },
-                [&](campaign::PayloadReader& r) {
-                  switch (task.kind) {
-                    case kLaunch:
-                      row.launchUs = campaign::readSummary(r);
-                      break;
-                    case kWait:
-                      row.waitUs = campaign::readSummary(r);
-                      break;
-                    case kHostDeviceLatency:
-                      row.hostDeviceLatencyUs = campaign::readSummary(r);
-                      break;
-                    case kHostDeviceBandwidth:
-                      row.hostDeviceBandwidthGBps = campaign::readSummary(r);
-                      break;
-                    case kD2dLatency:
-                      row.d2dLatencyUs[static_cast<int>(task.linkClass)] =
-                          campaign::readSummary(r);
-                      break;
-                    default:
-                      break;
-                  }
-                },
-                [&](SampleCapture& cap, StoreRecords& out) {
-                  switch (task.kind) {
-                    case kLaunch:
-                      out.push_back(sampleRecord(
-                          slots[t], "latency", "us", stats::Better::Lower,
-                          row.launchUs,
-                          cap.take(commscope::kLaunchSampleChannel)));
-                      break;
-                    case kWait:
-                      out.push_back(sampleRecord(
-                          slots[t], "latency", "us", stats::Better::Lower,
-                          row.waitUs,
-                          cap.take(commscope::kWaitSampleChannel)));
-                      break;
-                    case kHostDeviceLatency:
-                      out.push_back(sampleRecord(
-                          slots[t], "latency", "us", stats::Better::Lower,
-                          row.hostDeviceLatencyUs,
-                          cap.take(commscope::kHdLatencySampleChannel)));
-                      break;
-                    case kHostDeviceBandwidth:
-                      out.push_back(sampleRecord(
-                          slots[t], "bandwidth", "GB/s", stats::Better::Higher,
-                          row.hostDeviceBandwidthGBps,
-                          cap.take(commscope::kHdBandwidthSampleChannel)));
-                      break;
-                    case kD2dLatency:
-                      out.push_back(sampleRecord(
-                          slots[t], "latency", "us", stats::Better::Lower,
-                          *row.d2dLatencyUs[static_cast<int>(task.linkClass)],
-                          cap.take(commscope::kD2dLatencySampleChannel)));
-                      break;
-                    default:
-                      break;
-                  }
-                });
-      },
-      opt.jobs);
-  throwIfCancelled(opt);
-  collectIncidents(std::move(slots), incidents);
+        if (q.field != nullptr) {
+          row.*q.field = (*v)[0];
+        } else {
+          row.d2dLatencyUs[static_cast<int>(task.linkClass)] = (*v)[0];
+        }
+      });
   return rows;
 }
 
@@ -732,16 +532,15 @@ Table renderTable6(const std::vector<Gpu6Row>& rows,
                              d2dCopyCellName(static_cast<LinkClass>(c))),
                   cellOrEmpty(row.d2dLatencyUs[c]));
     };
-    t.addRow({rankName(*row.machine),
-              naOr(cellFailed(incidents, name, kCellLaunch),
-                   row.launchUs.toString()),
-              naOr(cellFailed(incidents, name, kCellWait),
-                   row.waitUs.toString()),
-              naOr(cellFailed(incidents, name, kCellHdLatency),
-                   row.hostDeviceLatencyUs.toString()),
-              naOr(cellFailed(incidents, name, kCellHdBandwidth),
-                   row.hostDeviceBandwidthGBps.toString()),
-              d2d(0), d2d(1), d2d(2), d2d(3)});
+    std::vector<std::string> cells{rankName(*row.machine)};
+    for (const ScopeQuantity& q : kScopeQuantities) {
+      cells.push_back(naOr(cellFailed(incidents, name, q.cell),
+                           (row.*q.field).toString()));
+    }
+    for (int c = 0; c < 4; ++c) {
+      cells.push_back(d2d(c));
+    }
+    t.addRow(std::move(cells));
   }
   return t;
 }

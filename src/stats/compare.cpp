@@ -267,12 +267,16 @@ std::string renderCompare(const CompareReport& report) {
       const bool tested = c.verdict == Verdict::Unchanged ||
                           c.verdict == Verdict::Regression ||
                           c.verdict == Verdict::Improvement;
+      // Built, then appended to: GCC 12 at -O3 reports a false -Wrestrict
+      // overlap inside `const char* + std::string&&`.
+      std::string delta = "-";
+      if (tested) {
+        delta = c.deltaPct >= 0.0 ? "+" : "";
+        delta += formatFixed(c.deltaPct, 2);
+      }
       table.addRow({c.cell, c.quantity, c.unit,
                     formatMeanCi(c.baseline, c.baselineCi),
-                    formatMeanCi(c.candidate, c.candidateCi),
-                    tested ? (c.deltaPct >= 0.0 ? "+" : "") +
-                                 formatFixed(c.deltaPct, 2)
-                           : "-",
+                    formatMeanCi(c.candidate, c.candidateCi), delta,
                     tested ? formatP(c.welch.p) : "-",
                     tested ? formatP(c.mw.p) : "-",
                     tested ? formatFixed(c.cliffsDelta, 3) : "-",

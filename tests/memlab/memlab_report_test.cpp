@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "campaign/journal.hpp"
 #include "campaign/shard.hpp"
+#include "faults/fault_plan.hpp"
 #include "machines/registry.hpp"
 #include "report/memlab_report.hpp"
 #include "report/tables.hpp"
@@ -97,6 +99,62 @@ TEST(MemlabReport, ChaseLaddersAreMonotoneInTheMean) {
   }
 }
 
+TEST(MemlabReport, FailedPointsRenderNaAndLeaveTheChart) {
+  // Frontier is the first row, whose points give the chart its x axis.
+  const faults::FaultPlan plan = faults::FaultPlan::fromJson(
+      R"({"seed": 7, "faults": [{"type": "flaky-cell", "machine": "Frontier",
+          "rate": 0.9}]})");
+  TableOptions opt = smallOptions(4);
+  opt.faults = &plan;
+  std::vector<CellIncident> sweepIncidents;
+  std::vector<CellIncident> chaseIncidents;
+  const auto sweep = computeSweep(opt, &sweepIncidents);
+  const auto chase = computeChase(opt, &chaseIncidents);
+  ASSERT_EQ(sweep.front().machine->info.name, "Frontier");
+  ASSERT_EQ(chase.front().machine->info.name, "Frontier");
+
+  // Column 1 is Frontier; a point renders "n/a" exactly when its cell
+  // failed, and at least one did.
+  const auto expectNaExactlyWhereFailed =
+      [](const Table& t, const std::vector<CellIncident>& incidents,
+         const auto& points, std::string (*cellName)(ByteCount)) {
+        std::size_t failed = 0;
+        for (std::size_t j = 0; j < points.size(); ++j) {
+          const std::string cell = cellName(points[j].workingSet);
+          const bool pointFailed = std::any_of(
+              incidents.begin(), incidents.end(), [&](const CellIncident& i) {
+                return i.failed && i.machine == "Frontier" && i.cell == cell;
+              });
+          failed += pointFailed ? 1 : 0;
+          EXPECT_EQ(t.cell(j, 1) == "n/a", pointFailed) << cell;
+        }
+        EXPECT_EQ(failed, static_cast<std::size_t>(std::count_if(
+                              incidents.begin(), incidents.end(),
+                              [](const CellIncident& i) { return i.failed; })));
+        EXPECT_GT(failed, 0u);
+      };
+  std::string sweepChart;
+  std::string chaseChart;
+  ASSERT_NO_THROW({
+    expectNaExactlyWhereFailed(renderSweep(sweep, &sweepIncidents),
+                               sweepIncidents, sweep.front().points,
+                               sweepCellName);
+    expectNaExactlyWhereFailed(renderChaseNs(chase, &chaseIncidents),
+                               chaseIncidents, chase.front().points,
+                               chaseCellName);
+    expectNaExactlyWhereFailed(renderChaseClk(chase, &chaseIncidents),
+                               chaseIncidents, chase.front().points,
+                               chaseCellName);
+    sweepChart = renderSweepChart(sweep);
+    chaseChart = renderChaseChart(chase);
+  });
+  // A machine with a failed point has no curve; the other one keeps its.
+  for (const std::string& chart : {sweepChart, chaseChart}) {
+    EXPECT_EQ(chart.find("Frontier"), std::string::npos);
+    EXPECT_NE(chart.find("Eagle"), std::string::npos);
+  }
+}
+
 TEST(MemlabReport, CellNamesAreStableIdentifiers) {
   // Journals, fault plans, shard manifests and stores all key on these;
   // changing them orphans every recorded campaign.
@@ -118,8 +176,21 @@ void runMemlabShard(const std::string& journalBase,
       stats::ResultStore::create(campaign::shardPath(storeBase, spec), cfg);
   opt.journal = journal.get();
   opt.store = store.get();
-  (void)computeSweep(opt);
-  (void)computeChase(opt);
+  const auto sweep = computeSweep(opt);
+  const auto chase = computeChase(opt);
+  // A worker renders its slice with the other slices' points unmeasured:
+  // every row still carries its grid size, and no chart throws.
+  std::string sweepTable;
+  std::string chaseTable;
+  EXPECT_NO_THROW({
+    sweepTable = renderSweep(sweep).renderAscii();
+    chaseTable = renderChaseNs(chase).renderAscii();
+    (void)renderChaseClk(chase);
+    (void)renderSweepChart(sweep);
+    (void)renderChaseChart(chase);
+  });
+  EXPECT_NE(sweepTable.find("48 KiB"), std::string::npos);
+  EXPECT_NE(chaseTable.find("4 KiB"), std::string::npos);
 }
 
 TEST(MemlabHarness, JournalStoreShardMergeRoundTrip) {
